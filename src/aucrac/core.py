@@ -24,14 +24,21 @@ INTENSITY_CLASSES = ("LIT", "MIT", "HIT")
 _SUM_TOL = 1e-9
 
 
+def _finite(value) -> bool:
+    # ints are always finite; isfinite would overflow on a huge one
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+
+
 def _positive(name, value):
-    if not (isinstance(value, (int, float)) and not isinstance(value, bool)) or not value > 0:
-        raise ConstraintError(name, f"must be a positive number, got {value!r}")
+    if not _finite(value) or not value > 0:
+        raise ConstraintError(name, f"must be a positive finite number, got {value!r}")
 
 
 def _non_negative(name, value):
-    if not (isinstance(value, (int, float)) and not isinstance(value, bool)) or value < 0:
-        raise ConstraintError(name, f"must be a non-negative number, got {value!r}")
+    if not _finite(value) or value < 0:
+        raise ConstraintError(name, f"must be a non-negative finite number, got {value!r}")
 
 
 def _in_enum(name, value, allowed):
@@ -114,6 +121,7 @@ class ExecutorConfig:
         _non_negative("executor.base_footprint_mb", self.base_footprint_mb)
         _positive("executor.slice_granularity", self.slice_granularity)
         _non_negative("executor.startup_overhead_lo_mb", self.startup_overhead_lo_mb)
+        _non_negative("executor.startup_overhead_hi_mb", self.startup_overhead_hi_mb)
         if self.startup_overhead_hi_mb < self.startup_overhead_lo_mb:
             raise ConstraintError("executor.startup_overhead_hi_mb", "range upper end below lower end")
         _positive("executor.idle_ttl_s", self.idle_ttl_s)
@@ -356,6 +364,7 @@ class WorkloadSpec:
             if len(rng_pair) != 2 or not rng_pair[0] <= rng_pair[1]:
                 raise ConstraintError(f"workload.{name}", f"must be an ordered (lo, hi) pair, got {rng_pair!r}")
             _positive(f"workload.{name}", rng_pair[0])
+            _positive(f"workload.{name}", rng_pair[1])
             object.__setattr__(self, name, (float(rng_pair[0]), float(rng_pair[1])))
 
     @property
@@ -474,9 +483,13 @@ def config_to_json(config: SimConfig) -> str:
     return json.dumps(config_to_dict(config), indent=2, sort_keys=True)
 
 
+def _reject_constant(literal: str):
+    raise SchemaError("config", f"not valid JSON: {literal} is not a number")
+
+
 def config_from_json(text: str) -> SimConfig:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SchemaError("config", f"not valid JSON: {exc}") from exc
     return config_from_dict(doc)

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 from . import containers as ct
-from .auction import AuctionConfig, allocate_tasks_literal, mn_revenue, run_sealed_auction
-from .core import (AuctionOutcome, Bid, MetricsRecord, SimConfig, Task, WorkerNode,
+# rank_bidders reproduces run_sealed_auction's resolution order; the name is
+# kept here because the benchmark's tracer (perfbench/tracer.py) wraps it on sim
+from .auction import allocate_tasks_literal, mn_revenue, run_sealed_auction  # noqa: F401
+from .core import (AuctionOutcome, MetricsRecord, SimConfig, Task, WorkerNode,
                    generate_workload)
 from .costmodel import (deadline_eligibility, execution_time, valuation,
                         valuation_unchecked)
@@ -109,28 +112,59 @@ class SimState:
     available_at: dict = field(default_factory=dict)
 
 
+def rank_bidders(task: Task, nodes, config: SimConfig) -> tuple:
+    """Price the task on every node once; return (hosts, ranking).
+
+    `hosts` holds (ask, node) for each node whose capacity strictly
+    dominates the task demand, in node order. `ranking` holds the hosts
+    that also finish inside the deadline, best first under the win rule
+    and ties to the smaller node id: the order in which
+    run_sealed_auction resolves bids that share a submit time. An ask and
+    its eligibility depend only on the task and the node's fixed
+    capacities, so one ranking serves every round of the task.
+    """
+    hosts = []
+    for node in nodes:
+        try:
+            hosts.append((valuation(node, task, config.weights, config.bid_margin), node))
+        except InfeasibleError:
+            continue
+    sign = 1.0 if config.win_rule == "lowest" else -1.0
+    ranking = sorted([host for host in hosts if deadline_eligibility(host[1], task)],
+                     key=lambda host: (sign * host[0], host[1].id))
+    return hosts, ranking
+
+
+def first_taker(ranking, task: Task, strategy: str):
+    """The first (ask, node) of the ranking that takes the task now, or None.
+
+    A whole-node auction takes the head, since its winner queues the
+    task. The container-aware strategy walks on to the first node that
+    can place the task right now.
+    """
+    for ask, node in ranking:
+        if strategy != "aucrac" or ct.can_place(node, task):
+            return ask, node
+    return None
+
+
 def run_task_auction(task: Task, nodes, config: SimConfig, now: float) -> AuctionOutcome | None:
     """Collect sealed bids for one task and resolve them.
 
     Nodes whose capacity does not strictly dominate the task demand do
     not bid. Under the container-aware strategy, nodes that could not
-    place the task right now also abstain. Returns None when nobody bid.
+    place the task right now also abstain. Returns None when nobody bid,
+    and an outcome without a winner when every bidder misses the
+    deadline. All bids of a round are submitted at `now`, so the time
+    never breaks a tie.
     """
-    bids = []
-    for node in nodes:
-        try:
-            amount = valuation(node, task, config.weights, config.bid_margin)
-        except InfeasibleError:
-            continue
-        if config.strategy == "aucrac" and not ct.can_place(node, task):
-            continue
-        bids.append(Bid(node_id=node.id, task_id=task.id, amount=amount,
-                        submit_time=now, eligible=deadline_eligibility(node, task)))
-    if not bids:
+    hosts, ranking = rank_bidders(task, nodes, config)
+    pick = first_taker(ranking, task, config.strategy)
+    if pick is not None:
+        return AuctionOutcome(task_id=task.id, winner=pick[1].id, payment=pick[0])
+    if first_taker(hosts, task, config.strategy) is None:
         return None
-    auction_cfg = AuctionConfig(win_rule=config.win_rule, mode="repaired",
-                                n=max(2, len(nodes)))
-    return run_sealed_auction(task, bids, auction_cfg)
+    return AuctionOutcome(task_id=task.id, winner=None, payment=0.0)
 
 
 def assign(strategy: str, task: Task, nodes, rng: Rng, state: SimState) -> str | None:
@@ -159,6 +193,15 @@ def assign(strategy: str, task: Task, nodes, rng: Rng, state: SimState) -> str |
     raise InputError(f"unknown strategy {strategy!r}")
 
 
+def _check_books(nodes, when: str):
+    """Each node's container pool must account for exactly the memory it holds."""
+    for node in nodes:
+        if abs(node.live_memory() - (node.memory - node.free_memory)) > 1e-6:
+            raise StateError(f"node {node.id}: container memory books disagree {when}")
+        if node.free_memory < -1e-9 or node.free_compute < -1e-9:
+            raise StateError(f"node {node.id}: capacity oversubscribed {when}")
+
+
 @dataclass(frozen=True)
 class SimResult:
     metrics: MetricsRecord
@@ -176,6 +219,7 @@ class _Engine:
         self.rng_dyn = base.fork(3)
         self.nodes = self._build_nodes()
         self.node_by_id = {n.id: n for n in self.nodes}
+        self.node_index = {n.id: i for i, n in enumerate(self.nodes)}
         self.tasks = {}
         self.state = SimState(config=config)
         self.heap = []
@@ -197,6 +241,9 @@ class _Engine:
         self.cpu_last = {n.id: 0.0 for n in self.nodes}
         self.literal_bids = None
         self.last_time = 0.0
+        self.rankings = {}      # task id -> bidder ranking, until assigned or failed
+        self.freed = deque()    # (freed_at, node index) per container release, in time order
+        self.touched = []       # nodes whose container books the current event changed
 
     def _build_nodes(self):
         nodes = []
@@ -239,26 +286,23 @@ class _Engine:
             self.peak_mem[node_id] = live
 
     def _check_invariants(self, now: float):
+        # only a container create, reuse, release or reap changes a node's
+        # books, so each event checks the nodes it touched; run() scans all
+        # nodes once more at the end
         if now < self.last_time - 1e-9:
             raise StateError(f"event time went backwards: {now} after {self.last_time}")
         self.last_time = now
-        for node in self.nodes:
-            live = node.live_memory()
-            if abs(live - (node.memory - node.free_memory)) > 1e-6:
-                raise StateError(f"node {node.id}: container memory books disagree")
-            if node.free_memory < -1e-9 or node.free_compute < -1e-9:
-                raise StateError(f"node {node.id}: capacity oversubscribed")
+        if self.touched:
+            _check_books(self.touched, f"at t={now!r}")
+            self.touched.clear()
 
     # -- handlers ----------------------------------------------------------
 
     def _fill_value(self, task: Task) -> Task:
-        # the posted task value is the market's mean asking price for it
-        asks = []
-        for node in self.nodes:
-            try:
-                asks.append(valuation(node, task, self.config.weights, self.config.bid_margin))
-            except InfeasibleError:
-                continue
+        # the posted task value is the market's mean asking price for it;
+        # the same pass ranks the bidders for all of the task's rounds
+        hosts, self.rankings[task.id] = rank_bidders(task, self.nodes, self.config)
+        asks = [ask for ask, _ in hosts]
         if not asks:
             asks = [valuation_unchecked(node, task, self.config.weights, self.config.bid_margin)
                     for node in self.nodes]
@@ -279,6 +323,7 @@ class _Engine:
         self.retries[task.id] = count
         if count > self.config.executor.max_requeues:
             self.failed.add(task.id)
+            del self.rankings[task.id]
             self._log(now, "auction_round", task_id=task.id, detail="result=failed_to_place")
         else:
             self._log(now, "auction_round", task_id=task.id, detail=f"result=retry;attempt={count}")
@@ -315,6 +360,7 @@ class _Engine:
         self.pending_exec[task.id] = (node.id, container.id, container.compute,
                                       container.memory, created)
         self._touch_mem(node.id)
+        self.touched.append(node)
         self._push(now, "exec_start", task_id=task.id, node_id=node.id,
                    container_id=container.id)
         self._push(now + duration, "exec_finish", task_id=task.id, node_id=node.id,
@@ -322,8 +368,19 @@ class _Engine:
         return True
 
     def _reap(self, now: float):
-        for node in self.nodes:
-            for gone in ct.reap_idle(node, now):
+        # a node can only have something to reap if it freed a container at
+        # least one TTL ago; releases arrive in time order, so the due
+        # entries sit at the front of the FIFO
+        ttl = self.config.executor.idle_ttl_s
+        due = set()
+        while self.freed and now - self.freed[0][0] >= ttl:
+            due.add(self.freed.popleft()[1])
+        for i in sorted(due):
+            node = self.nodes[i]
+            reaped = ct.reap_idle(node, now)
+            if reaped:
+                self.touched.append(node)
+            for gone in reaped:
                 self._log(now, "container_release", node_id=node.id, container_id=gone.id,
                           detail=f"cc={gone.compute!r};mem={gone.memory!r};from=free;destroyed=1")
 
@@ -349,12 +406,11 @@ class _Engine:
                 node, payment = self._literal_round(now, task)
                 detail = f"result=assigned;winner={node.id};payment={payment!r}"
             else:
-                outcome = run_task_auction(task, self.nodes, self.config, now)
-                if outcome is None or outcome.winner is None:
+                pick = first_taker(self.rankings[task_id], task, strategy)
+                if pick is None:
                     self._retry(now, task)
                     return
-                node = self.node_by_id[outcome.winner]
-                payment = outcome.payment
+                payment, node = pick
                 detail = f"result=assigned;winner={node.id};payment={payment!r}"
             if strategy == "aucrac":
                 if not self._commit_container(now, task, node, payment):
@@ -362,6 +418,7 @@ class _Engine:
                     return
             else:
                 self._commit_whole_node(now, task, node, payment)
+            del self.rankings[task_id]
             self._log(now, "auction_round", task_id=task.id, node_id=node.id, detail=detail)
             return
 
@@ -403,6 +460,8 @@ class _Engine:
     def _handle_release(self, now: float, task_id: str, node_id: str, container_id: str):
         node = self.node_by_id[node_id]
         ct.release_container(node, container_id, now)
+        self.freed.append((now, self.node_index[node_id]))
+        self.touched.append(node)
         self._cpu_change(node_id, -self.pending_exec[task_id][2], now)
         cc, mem = self.pending_exec[task_id][2], self.pending_exec[task_id][3]
         self._log(now, "container_release", task_id=task_id, node_id=node_id,
@@ -433,6 +492,7 @@ class _Engine:
             elif kind == "container_release":
                 self._handle_release(time, task_id, node_id, container_id)
             self._check_invariants(time)
+        _check_books(self.nodes, "at the end of the run")
         return SimResult(metrics=self._metrics(), log_lines=tuple(e.line() for e in self.log),
                          tasks=tuple(self.tasks.values()), nodes=tuple(self.nodes))
 

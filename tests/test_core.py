@@ -308,3 +308,60 @@ def test_executor_config_rejects_inverted_startup_range():
 def test_node_template_rejects_nonpositive_cpu():
     with pytest.raises(ConstraintError):
         NodeTemplate(cpu=0.0)
+
+
+# --- non-finite numbers -----------------------------------------------------
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize("field", ["horizon_s", "unit_price", "bid_margin",
+                                   "retry_interval_s"])
+@pytest.mark.parametrize("value", [NAN, INF, -INF])
+def test_sim_config_rejects_non_finite_numbers(field, value):
+    with pytest.raises(ConstraintError, match=field):
+        default_config(**{field: value})
+
+
+@pytest.mark.parametrize("value", [NAN, INF])
+def test_nested_blocks_reject_non_finite_numbers(value):
+    with pytest.raises(ConstraintError):
+        ResourceWeights(delta=value)
+    with pytest.raises(ConstraintError):
+        ExecutorConfig(idle_ttl_s=value)
+    with pytest.raises(ConstraintError):
+        NodeTemplate(cpu=value)
+    with pytest.raises(ConstraintError):
+        Task(id="t0", data_in=value, data_out=1.0, cycles=1e9, memory=64.0,
+             power=5.0, deadline=10.0, td_max=3.0)
+
+
+@pytest.mark.parametrize("name", ["deadline_s", "memory_mb", "lit_cycles"])
+def test_workload_rejects_an_infinite_range_end(name):
+    with pytest.raises(ConstraintError, match=name):
+        WorkloadSpec(**{name: (1.0, INF)})
+    with pytest.raises(ConstraintError, match=name):
+        WorkloadSpec(**{name: (1.0, NAN)})
+
+
+def test_executor_config_rejects_a_non_finite_startup_range_end():
+    for value in (NAN, INF):
+        with pytest.raises(ConstraintError, match="startup_overhead_hi_mb"):
+            ExecutorConfig(startup_overhead_hi_mb=value)
+
+
+def test_huge_integers_are_finite():
+    assert default_config(horizon_s=10 ** 400).horizon_s == 10 ** 400
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_config_json_rejects_non_finite_literals(literal):
+    with pytest.raises(SchemaError, match=literal):
+        config_from_json(f'{{"horizon_s": {literal}}}')
+
+
+def test_config_json_overflowing_number_is_a_constraint_error():
+    # 1e400 is valid JSON but parses to inf, which the validators reject
+    with pytest.raises(ConstraintError, match="horizon_s"):
+        config_from_json('{"horizon_s": 1e400}')

@@ -4,9 +4,12 @@ from dataclasses import replace
 
 import pytest
 
-from aucrac.core import SimConfig, Task, WorkerNode, default_config
-from aucrac.costmodel import execution_time
-from aucrac.errors import InputError
+import aucrac.containers as ct
+import aucrac.sim as sim
+from aucrac.auction import AuctionConfig, run_sealed_auction
+from aucrac.core import Bid, SimConfig, Task, WorkerNode, default_config, generate_workload
+from aucrac.costmodel import deadline_eligibility, execution_time, valuation
+from aucrac.errors import InfeasibleError, InputError, StateError
 from aucrac.rng import new_rng
 from aucrac.sim import (SimEvent, SimState, _percentile, assign, jain_fairness,
                         mn_profit, parse_event_line, run, run_task_auction,
@@ -278,3 +281,115 @@ def test_profit_in_metrics_matches_a_log_recomputation():
     by_id = {t.id: t for t in result.tasks}
     expected = sum(by_id[tid].data_in * 0.5 - paid[tid] for tid in finished)
     assert result.metrics.mn_profit == pytest.approx(expected, rel=1e-9)
+
+
+# --- the bidder ranking against sealed-bid resolution ---------------------
+
+def _sealed_reference(task, nodes, config, now):
+    # every node prices the task and bids; run_sealed_auction resolves
+    bids = []
+    for node in nodes:
+        try:
+            amount = valuation(node, task, config.weights, config.bid_margin)
+        except InfeasibleError:
+            continue
+        if config.strategy == "aucrac" and not ct.can_place(node, task):
+            continue
+        bids.append(Bid(node_id=node.id, task_id=task.id, amount=amount,
+                        submit_time=now, eligible=deadline_eligibility(node, task)))
+    if not bids:
+        return None
+    return run_sealed_auction(task, bids, AuctionConfig(win_rule=config.win_rule))
+
+
+@pytest.mark.parametrize("strategy", ["aucrac", "auction_basic"])
+@pytest.mark.parametrize("win_rule", ["lowest", "highest"])
+def test_ranked_auction_picks_the_sealed_bid_winner(strategy, win_rule):
+    config = default_config(num_devices=20, num_workers=6, strategy=strategy,
+                            win_rule=win_rule)
+    config = replace(config, workload=replace(config.workload, deadline_s=(1.0, 12.0)))
+    # two identical twins tie on every ask; listing them out of id order
+    # checks that ties go to the smaller id, not the earlier position
+    twin = dict(cpu=5e9, memory=8192.0, power=200.0, unit_cost=1.0, time_const=5.0)
+    nodes = [WorkerNode(id="wn005", **twin), WorkerNode(id="wn004", **twin),
+             WorkerNode(id="wn000", cpu=2e9, memory=4096.0, power=100.0,
+                        unit_cost=1.02, time_const=1.0),
+             WorkerNode(id="wn001", cpu=1.2e10, memory=1024.0, power=400.0,
+                        unit_cost=0.97, time_const=5.0)]
+    # low free memory makes some placements fail on three of the nodes
+    for node, free in zip(nodes, (200.0, 300.0, 4096.0, 250.0)):
+        node.free_memory = free
+    seen = set()
+    for task in generate_workload(config, new_rng(3)):
+        got = run_task_auction(task, nodes, config, 1.0)
+        want = _sealed_reference(task, nodes, config, 1.0)
+        if want is None:
+            assert got is None
+            seen.add("nobody bid")
+        else:
+            assert (got.winner, got.payment) == (want.winner, want.payment)
+            seen.add(want.winner)
+    assert {None, "wn004"} <= seen
+    assert ("nobody bid" in seen) == (strategy == "aucrac")
+
+
+# --- the books check ------------------------------------------------------
+
+# the event time each corrupting call reveals: release and reap are passed
+# it, and the first create happens in the first round of the task it places
+EVENT_TIME = {
+    "create_container": lambda task, rng: task.arrival_time,
+    "release_container": lambda container_id, now: now,
+    "reap_idle": lambda now: now,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVENT_TIME))
+def test_books_check_trips_on_the_event_that_corrupts_a_node(monkeypatch, name):
+    real = getattr(ct, name)
+    corrupted = []
+
+    def corrupting(node, *args):
+        out = real(node, *args)
+        if out and not corrupted:  # an empty reap leaves the node untouched
+            node.free_memory -= 1.0
+            corrupted.append((node.id, EVENT_TIME[name](*args)))
+        return out
+
+    monkeypatch.setattr(ct, name, corrupting)
+    with pytest.raises(StateError) as err:
+        run(default_config(strategy="aucrac", seed=0))
+    node_id, when = corrupted[0]
+    assert str(err.value) == f"node {node_id}: container memory books disagree at t={when!r}"
+
+
+def test_end_of_run_scan_catches_a_node_no_event_touches(monkeypatch):
+    build = sim._Engine._build_nodes
+
+    def corrupting(engine):
+        nodes = build(engine)
+        nodes[-1].free_memory -= 1.0
+        return nodes
+
+    monkeypatch.setattr(sim._Engine, "_build_nodes", corrupting)
+    # whole-node strategies never touch a node's container books
+    with pytest.raises(StateError, match="wn009: container memory books disagree "
+                                         "at the end of the run"):
+        run(default_config(strategy="round_robin", seed=0))
+
+
+def test_reaping_follows_the_idle_ttl_boundary_of_reap_idle():
+    engine = sim._Engine(default_config(strategy="aucrac"))
+    node = engine.nodes[2]
+    container = ct.create_container(node, _simple_task(), new_rng(0))
+    engine.pending_exec["tx"] = (node.id, container.id, container.compute,
+                                 container.memory, 1)
+    engine._handle_release(1.0, "tx", node.id, container.id)
+    ttl = node.executor.idle_ttl_s
+    engine._reap(1.0 + ttl - 1e-9)
+    assert node.container_pool == [container]
+    # idle for exactly one TTL: reap_idle destroys it, so the engine must ask
+    engine._reap(1.0 + ttl)
+    assert node.container_pool == []
+    assert engine.log[-1].kind == "container_release"
+    assert engine.log[-1].detail.endswith("from=free;destroyed=1")
