@@ -10,23 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import AuctionOutcome, Bid, BidDistribution, Task
+from .core import WIN_RULES, AuctionOutcome, BidDistribution, Task
 from .errors import ConstraintError, InputError
-
-
-@dataclass(frozen=True)
-class AuctionConfig:
-    win_rule: str = "lowest"
-    mode: str = "repaired"
-    n: int = 2  # bidder population size
-
-    def __post_init__(self):
-        if self.win_rule not in ("highest", "lowest"):
-            raise ConstraintError("auction.win_rule", f"must be 'highest' or 'lowest', got {self.win_rule!r}")
-        if self.mode not in ("literal", "repaired"):
-            raise ConstraintError("auction.mode", f"must be 'literal' or 'repaired', got {self.mode!r}")
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ConstraintError("auction.n", "needs at least two bidders")
 
 
 def win_probability(bid: float, dist: BidDistribution, n: int, win_rule: str = "lowest") -> float:
@@ -51,16 +36,6 @@ def expected_utility(bid: float, value: float, dist: BidDistribution, n: int,
     return win_probability(bid, dist, n, win_rule) * (value - bid) * eligible
 
 
-def optimal_bid_closed_form(value: float) -> float:
-    """Closed-form bid: ask exactly the perceived value.
-
-    Note this maximizes nothing under a first-price rule (the margin at
-    bid = value is zero); the numeric search below finds the interior
-    optimum instead. Both are exposed on purpose.
-    """
-    return value
-
-
 def optimal_bid_numeric(value: float, dist: BidDistribution, n: int,
                         win_rule: str = "lowest", grid: int = 1000) -> float:
     """Grid arg-max of expected utility over [support lo, min(value, support hi)]."""
@@ -81,12 +56,14 @@ def optimal_bid_numeric(value: float, dist: BidDistribution, n: int,
     return best_bid
 
 
-def run_sealed_auction(task: Task, bids, config: AuctionConfig) -> AuctionOutcome:
+def run_sealed_auction(task: Task, bids, win_rule: str = "lowest") -> AuctionOutcome:
     """Resolve one task. First price: the winner is paid its own bid.
 
     Ineligible bids never win. Ties break on earlier submit_time, then on
     the smaller node id, so resolution is deterministic.
     """
+    if win_rule not in WIN_RULES:
+        raise ConstraintError("auction.win_rule", f"must be one of {WIN_RULES}, got {win_rule!r}")
     bids = list(bids)
     if not bids:
         raise InputError("bids must be non-empty")
@@ -94,7 +71,7 @@ def run_sealed_auction(task: Task, bids, config: AuctionConfig) -> AuctionOutcom
     if not eligible:
         return AuctionOutcome(task_id=task.id, winner=None, payment=0.0,
                               losing_bids=tuple(bids))
-    sign = 1.0 if config.win_rule == "lowest" else -1.0
+    sign = 1.0 if win_rule == "lowest" else -1.0
     winner = min(eligible, key=lambda b: (sign * b.amount, b.submit_time, b.node_id))
     losers = tuple(b for b in bids if b is not winner)
     return AuctionOutcome(task_id=task.id, winner=winner.node_id,

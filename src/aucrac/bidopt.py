@@ -2,8 +2,10 @@
 
 A worker prices a task by searching the box of admissible resource
 profiles (each coordinate below the node capacity) for the cheapest one.
-The search objective is the penalized cost surface below; the brute-force
-grid oracle exists as an independent witness for tests.
+The search objective is the penalized cost surface below. It is affine,
+so its box minimum is a corner chosen per axis by the sign of the
+constant gradient. The projected descent and the brute-force grid oracle
+are kept as independent witnesses for tests.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ from dataclasses import dataclass
 
 from .errors import ConstraintError, DivergenceError, InfeasibleError, InputError
 
-_BOX_SHRINK = 1e-12  # keeps the open upper face out of reach of the projection
+_BOX_SHRINK = 1e-12  # keeps the closed search box inside the open upper face
 
 
 @dataclass(frozen=True)
 class OptimizerParams:
-    """Capacities, weights, and knobs for one optimizer invocation."""
+    """Capacities and weights for one optimizer invocation."""
 
     e_i: float                 # cycles/s capacity
     m_i: float                 # MB capacity
@@ -27,20 +29,18 @@ class OptimizerParams:
     alpha2: float = 1.0
     phi_i: float = 1.0         # time constant of the node
     omega_max: float = math.inf  # execution time budget
-    learning_rate: float = 0.1
-    tolerance: float = 1e-8
-    max_iter: int = 100_000
     lambda4: float = 0.0       # multiplier on the execution time budget term
     lower_bound: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        for name in ("e_i", "m_i", "p_i", "alpha1", "alpha2", "phi_i",
-                     "learning_rate", "tolerance"):
+        for name in ("e_i", "m_i", "p_i", "alpha1", "alpha2", "phi_i"):
             v = getattr(self, name)
             if not v > 0:
                 raise ConstraintError(f"optimizer.{name}", f"must be positive, got {v!r}")
-        if not isinstance(self.max_iter, int) or self.max_iter < 1:
-            raise ConstraintError("optimizer.max_iter", "must be a positive integer")
+        # a multiplier on an inequality budget is never negative
+        if not (math.isfinite(self.lambda4) and self.lambda4 >= 0):
+            raise ConstraintError("optimizer.lambda4",
+                                  f"must be a non-negative finite number, got {self.lambda4!r}")
         lb = tuple(float(v) for v in self.lower_bound)
         if len(lb) != 3 or any(v < 0 for v in lb):
             raise ConstraintError("optimizer.lower_bound", f"must be three non-negative numbers, got {self.lower_bound!r}")
@@ -53,7 +53,7 @@ class OptimizerParams:
 
 @dataclass(frozen=True)
 class CriticalPoint:
-    """Where the descent stopped and how it got there."""
+    """Where the optimizer landed, reported the way a descent reports it."""
 
     e_j: float
     m_j: float
@@ -141,28 +141,23 @@ def _box(params: OptimizerParams) -> tuple:
     return lo, hi
 
 
-def optimize(params: OptimizerParams, start=None) -> CriticalPoint:
-    """Run the projected descent from `start` (box midpoint by default)."""
+def optimize(params: OptimizerParams) -> CriticalPoint:
+    """Closed-form box minimum of the affine surface.
+
+    Per axis: the lower bound where the gradient is positive, the open
+    upper face where it is negative, and the box midpoint where it is
+    zero, which is where a descent started at the midpoint stays.
+    """
     lo, hi = _box(params)
-    if start is None:
-        start = tuple((l + c) / 2.0 for l, c in zip(lo, params.capacities))
-    else:
-        for v, l, c in zip(start, lo, params.capacities):
-            if not l <= v < c:
-                raise InputError(f"start point {tuple(start)} is outside the feasible box")
-    point, residual, iterations, converged = projected_descent(
-        lambda x: lagrangian_value(x, params),
-        lambda x: lagrangian_gradient(x, params),
-        start,
-        (lo, hi),
-        params.learning_rate,
-        params.tolerance,
-        params.max_iter,
-    )
-    return CriticalPoint(
-        e_j=point[0], m_j=point[1], p_j=point[2],
-        gradient_norm=residual, iterations=iterations, converged=converged,
-    )
+    grad = lagrangian_gradient(lo, params)
+    if not all(math.isfinite(g) for g in grad):
+        raise DivergenceError(f"gradient is not finite: {grad}")
+    point = tuple(l if g > 0 else h if g < 0 else (l + c) / 2.0
+                  for g, l, h, c in zip(grad, lo, hi, params.capacities))
+    if not math.isfinite(lagrangian_value(point, params)):
+        raise DivergenceError(f"objective is not finite at the box minimum {point}")
+    return CriticalPoint(e_j=point[0], m_j=point[1], p_j=point[2],
+                         gradient_norm=0.0, iterations=0, converged=True)
 
 
 def grid_oracle(params: OptimizerParams, grid_resolution: int = 64) -> tuple:

@@ -73,7 +73,7 @@ class ExperimentSpec:
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise UnknownEnumError("strategy", f"must be one of {STRATEGIES}, got {s!r}")
-        if not isinstance(self.jobs, int) or self.jobs < 1:
+        if not isinstance(self.jobs, int) or isinstance(self.jobs, bool) or self.jobs < 1:
             raise ConstraintError("jobs", "must be a positive integer")
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
         object.__setattr__(self, "strategies", tuple(self.strategies))

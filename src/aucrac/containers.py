@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .core import Container, Task, WorkerNode
 from .errors import ConstraintError, PlacementRejected, StateError
-from .rng import Rng
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,7 @@ def select_container(node: WorkerNode, task: Task) -> ContainerDecision:
     return ContainerDecision(action="requeue")
 
 
-def create_container(node: WorkerNode, task: Task, rng: Rng) -> Container:
+def create_container(node: WorkerNode, task: Task) -> Container:
     """Commit a new container for the task and charge the node for it.
 
     The container takes task memory plus the image overhead of the
@@ -89,15 +88,12 @@ def create_container(node: WorkerNode, task: Task, rng: Rng) -> Container:
         raise PlacementRejected(
             f"node {node.id}: slice {slice_:g} exceeds free compute {node.free_compute:g}"
         )
-    startup = rng.uniform(node.executor.startup_overhead_lo_mb,
-                          node.executor.startup_overhead_hi_mb)
     container = Container(
         id=node.next_container_id(),
         node_id=node.id,
         memory=mem_need,
         compute=slice_,
         lib_overhead=overhead,
-        startup_overhead=startup,
     )
     container.mark_busy()
     node.container_pool.append(container)

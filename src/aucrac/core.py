@@ -107,8 +107,6 @@ class ExecutorConfig:
     os_image_overhead_mb: float = 512.0  # per VM guest image cost
     base_footprint_mb: float = 64.0      # runtime daemon itself
     slice_granularity: float = 2e9       # cycles/s; compute slices are multiples of this
-    startup_overhead_lo_mb: float = 0.0
-    startup_overhead_hi_mb: float = 0.0
     idle_ttl_s: float = 4.0              # free containers older than this get destroyed
     max_requeues: int = 3
     task_memory_mb: float = 128.0        # reference task size for the footprint model
@@ -120,10 +118,6 @@ class ExecutorConfig:
         _non_negative("executor.os_image_overhead_mb", self.os_image_overhead_mb)
         _non_negative("executor.base_footprint_mb", self.base_footprint_mb)
         _positive("executor.slice_granularity", self.slice_granularity)
-        _non_negative("executor.startup_overhead_lo_mb", self.startup_overhead_lo_mb)
-        _non_negative("executor.startup_overhead_hi_mb", self.startup_overhead_hi_mb)
-        if self.startup_overhead_hi_mb < self.startup_overhead_lo_mb:
-            raise ConstraintError("executor.startup_overhead_hi_mb", "range upper end below lower end")
         _positive("executor.idle_ttl_s", self.idle_ttl_s)
         if not isinstance(self.max_requeues, int) or isinstance(self.max_requeues, bool) or self.max_requeues < 0:
             raise ConstraintError("executor.max_requeues", "must be a non-negative integer")
@@ -135,21 +129,18 @@ class ExecutorConfig:
 class Container:
     """A compute slice plus memory carved out of one worker node."""
 
-    __slots__ = ("id", "node_id", "memory", "compute", "lib_overhead", "state",
-                 "startup_overhead", "freed_at")
+    __slots__ = ("id", "node_id", "memory", "compute", "lib_overhead", "state", "freed_at")
 
     def __init__(self, id: str, node_id: str, memory: float, compute: float,
-                 lib_overhead: float, startup_overhead: float = 0.0):
+                 lib_overhead: float):
         _positive("container.memory", memory)
         _positive("container.compute", compute)
         _non_negative("container.lib_overhead", lib_overhead)
-        _non_negative("container.startup_overhead", startup_overhead)
         self.id = id
         self.node_id = node_id
         self.memory = memory
         self.compute = compute
         self.lib_overhead = lib_overhead
-        self.startup_overhead = startup_overhead
         self.state = "free"
         self.freed_at = 0.0
 

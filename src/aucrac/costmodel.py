@@ -6,34 +6,8 @@ task demand in every dimension is infeasible and must not bid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import ResourceWeights, Task, WorkerNode
-from .errors import ConstraintError, InfeasibleError, InputError
-
-
-@dataclass(frozen=True)
-class ResourceDemand:
-    """A bare resource vector, independent of any node."""
-
-    cycles: float
-    memory: float
-    power: float
-
-    def __post_init__(self):
-        for name in ("cycles", "memory", "power"):
-            v = getattr(self, name)
-            if v < 0:
-                raise ConstraintError(f"demand.{name}", f"must be non-negative, got {v!r}")
-
-
-def resource_function(demand: ResourceDemand, weights: ResourceWeights) -> float:
-    """Scalar price of a raw resource vector under the weighted blend."""
-    return weights.delta * (
-        weights.lambda1 * demand.cycles
-        + weights.alpha1 * weights.lambda2 * demand.memory
-        + weights.alpha2 * weights.lambda3 * demand.power
-    )
+from .errors import InfeasibleError, InputError
 
 
 def _ratios(node: WorkerNode, task: Task) -> tuple:

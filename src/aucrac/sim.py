@@ -350,7 +350,7 @@ class _Engine:
             created = 0
         else:
             try:
-                container = ct.create_container(node, task, self.rng_dyn)
+                container = ct.create_container(node, task)
             except PlacementRejected:
                 return False
             created = 1

@@ -2,9 +2,8 @@
 
 import pytest
 
-from aucrac.auction import (AuctionConfig, allocate_tasks_literal,
-                            expected_utility, mn_revenue,
-                            optimal_bid_closed_form, optimal_bid_numeric,
+from aucrac.auction import (allocate_tasks_literal, expected_utility,
+                            mn_revenue, optimal_bid_numeric,
                             run_sealed_auction, win_probability)
 from aucrac.core import Bid, BidDistribution, Task
 from aucrac.errors import ConstraintError, InputError
@@ -71,13 +70,6 @@ def test_utility_rejects_bad_eligibility():
         expected_utility(0.2, 0.9, U01, n=3, eligible=2)
 
 
-def test_closed_form_bid_asks_exactly_the_value():
-    assert optimal_bid_closed_form(0.7) == 0.7
-    # and therefore earns nothing in expectation under a first-price rule
-    assert expected_utility(optimal_bid_closed_form(0.7), 0.7, U01, n=2,
-                            eligible=1) == 0.0
-
-
 def test_numeric_bid_frozen_values_highest_rule():
     assert optimal_bid_numeric(1.0, U01, n=2, win_rule="highest") == pytest.approx(0.5, abs=2e-3)
     assert optimal_bid_numeric(1.0, U01, n=4, win_rule="highest") == pytest.approx(0.75, abs=2e-3)
@@ -87,8 +79,8 @@ def test_numeric_bid_frozen_values_highest_rule():
 def test_numeric_bid_beats_the_closed_form_in_expectation():
     b = optimal_bid_numeric(0.8, U01, n=3, win_rule="highest")
     u_numeric = expected_utility(b, 0.8, U01, n=3, eligible=1, win_rule="highest")
-    u_closed = expected_utility(optimal_bid_closed_form(0.8), 0.8, U01, n=3,
-                                eligible=1, win_rule="highest")
+    # bidding the value itself earns nothing
+    u_closed = expected_utility(0.8, 0.8, U01, n=3, eligible=1, win_rule="highest")
     assert u_numeric > u_closed
 
 
@@ -103,68 +95,58 @@ def test_numeric_bid_guards():
 # --- sealed auction resolution --------------------------------------------
 
 def test_lowest_rule_picks_the_cheapest_eligible_bid():
-    cfg = AuctionConfig(win_rule="lowest", n=3)
     bids = [_bid("wn2", 5.0), _bid("wn0", 3.0), _bid("wn1", 4.0)]
-    out = run_sealed_auction(_task(), bids, cfg)
+    out = run_sealed_auction(_task(), bids, win_rule="lowest")
     assert out.winner == "wn0"
     assert out.payment == 3.0  # first price: paid its own bid
     assert {b.node_id for b in out.losing_bids} == {"wn1", "wn2"}
 
 
 def test_highest_rule_picks_the_priciest_bid():
-    cfg = AuctionConfig(win_rule="highest", n=3)
     bids = [_bid("wn2", 5.0), _bid("wn0", 3.0), _bid("wn1", 4.0)]
-    out = run_sealed_auction(_task(), bids, cfg)
+    out = run_sealed_auction(_task(), bids, win_rule="highest")
     assert out.winner == "wn2"
     assert out.payment == 5.0
 
 
 def test_ineligible_bids_never_win():
-    cfg = AuctionConfig(win_rule="lowest", n=2)
     bids = [_bid("wn0", 1.0, eligible=0), _bid("wn1", 9.0, eligible=1)]
-    out = run_sealed_auction(_task(), bids, cfg)
+    out = run_sealed_auction(_task(), bids, win_rule="lowest")
     assert out.winner == "wn1"
 
 
 def test_no_eligible_bid_means_no_winner():
-    cfg = AuctionConfig(win_rule="lowest", n=2)
     bids = [_bid("wn0", 1.0, eligible=0), _bid("wn1", 2.0, eligible=0)]
-    out = run_sealed_auction(_task(), bids, cfg)
+    out = run_sealed_auction(_task(), bids, win_rule="lowest")
     assert out.winner is None
     assert out.payment == 0.0
     assert len(out.losing_bids) == 2
 
 
 def test_ties_break_on_time_then_node_id():
-    cfg = AuctionConfig(win_rule="lowest", n=3)
     out = run_sealed_auction(_task(), [_bid("wn5", 2.0, t=1.0),
-                                       _bid("wn3", 2.0, t=0.5)], cfg)
+                                       _bid("wn3", 2.0, t=0.5)], win_rule="lowest")
     assert out.winner == "wn3"  # earlier submission
     out = run_sealed_auction(_task(), [_bid("wn5", 2.0, t=1.0),
-                                       _bid("wn3", 2.0, t=1.0)], cfg)
+                                       _bid("wn3", 2.0, t=1.0)], win_rule="lowest")
     assert out.winner == "wn3"  # smaller id
 
 
 def test_winner_is_scale_invariant():
-    cfg = AuctionConfig(win_rule="lowest", n=3)
     bids = [_bid("a", 3.0), _bid("b", 5.0), _bid("c", 4.0)]
     scaled = [_bid(b.node_id, b.amount * 7.5) for b in bids]
-    assert run_sealed_auction(_task(), bids, cfg).winner == \
-        run_sealed_auction(_task(), scaled, cfg).winner
+    assert run_sealed_auction(_task(), bids, win_rule="lowest").winner == \
+        run_sealed_auction(_task(), scaled, win_rule="lowest").winner
 
 
 def test_empty_bid_list_is_an_error():
     with pytest.raises(InputError):
-        run_sealed_auction(_task(), [], AuctionConfig())
+        run_sealed_auction(_task(), [])
 
 
 def test_auction_config_guards():
-    with pytest.raises(ConstraintError):
-        AuctionConfig(win_rule="median")
-    with pytest.raises(ConstraintError):
-        AuctionConfig(n=1)
-    with pytest.raises(ConstraintError):
-        AuctionConfig(mode="hybrid")
+    with pytest.raises(ConstraintError, match="win_rule"):
+        run_sealed_auction(_task(), [_bid("wn0", 1.0)], win_rule="median")
 
 
 # --- literal batch allocation ---------------------------------------------

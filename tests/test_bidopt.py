@@ -1,10 +1,11 @@
 """Resource profile optimizer: surface values, gradient, descent, oracle."""
 
 import math
+import time
 
 import pytest
 
-from aucrac.bidopt import (OptimizerParams, cost_at, grid_oracle,
+from aucrac.bidopt import (OptimizerParams, _box, cost_at, grid_oracle,
                            lagrangian_gradient, lagrangian_value, optimize,
                            projected_descent)
 from aucrac.errors import (ConstraintError, DivergenceError, InfeasibleError,
@@ -72,6 +73,14 @@ def test_params_reject_bad_lower_bound():
         OptimizerParams(e_i=1.0, m_i=1.0, p_i=1.0, lower_bound=(0, 0))
 
 
+@pytest.mark.parametrize("value", [-0.5, math.nan, math.inf])
+def test_params_reject_a_negative_or_non_finite_multiplier(value):
+    # a multiplier on an inequality budget is never negative; a negative
+    # one would flip the e-gradient and send the minimum to the upper face
+    with pytest.raises(ConstraintError, match="lambda4"):
+        OptimizerParams(e_i=1.0, m_i=1.0, p_i=1.0, omega_max=2.0, lambda4=value)
+
+
 # --- generic descent ------------------------------------------------------
 
 def test_descent_marches_a_linear_slope_to_the_corner():
@@ -132,9 +141,70 @@ def test_descent_raises_on_nonfinite_objective():
 def test_optimize_converges_to_lower_corner_on_unit_box():
     cp = optimize(UNIT)
     assert cp.converged
-    assert cp.point == pytest.approx((0.0, 0.0, 0.0), abs=1e-9)
-    assert cp.gradient_norm < UNIT.tolerance
-    assert cp.iterations < UNIT.max_iter
+    assert cp.point == (0.0, 0.0, 0.0)
+    assert cp.gradient_norm == 0.0
+    assert cp.iterations == 0
+
+
+def test_optimize_returns_the_lower_corner_at_real_node_capacities():
+    # every gradient component is positive, so the minimum is (0, 0, 0);
+    # a fixed-step descent on this scale runs out of iterations far from it
+    params = OptimizerParams(e_i=5e9, m_i=8192.0, p_i=200.0)
+    assert all(g > 0 for g in lagrangian_gradient((0.0, 0.0, 0.0), params))
+    cp = optimize(params)
+    assert cp.converged
+    assert cp.point == (0.0, 0.0, 0.0)
+    t0 = time.perf_counter()
+    for _ in range(100):
+        optimize(params)
+    assert time.perf_counter() - t0 < 0.1  # well under 1 ms a call
+
+
+def test_optimize_takes_the_upper_face_on_a_falling_axis():
+    # capacities summing below 1 make the penalty outweigh the blend
+    params = OptimizerParams(e_i=0.2, m_i=0.2, p_i=0.2)
+    assert all(g < 0 for g in lagrangian_gradient((0.0, 0.0, 0.0), params))
+    _, hi = _box(params)
+    assert optimize(params).point == hi
+    assert all(v < c for v, c in zip(hi, params.capacities))
+
+
+def test_optimize_stays_at_the_midpoint_of_a_flat_axis():
+    params = OptimizerParams(e_i=0.25, m_i=0.25, p_i=0.5, lower_bound=(0.05, 0.0, 0.1))
+    assert lagrangian_gradient((0.0, 0.0, 0.0), params) == (0.0, 0.0, 0.0)
+    assert optimize(params).point == (0.15, 0.125, 0.3)
+
+
+def test_optimize_raises_when_the_surface_is_not_finite():
+    # an active multiplier on an unbounded budget sends the value to -inf
+    with pytest.raises(DivergenceError):
+        optimize(OptimizerParams(e_i=1.0, m_i=1.0, p_i=1.0, lambda4=0.5))
+    with pytest.raises(DivergenceError):
+        optimize(OptimizerParams(e_i=math.inf, m_i=1.0, p_i=1.0))
+    # a subnormal capacity overflows the gradient while the value stays finite
+    with pytest.raises(DivergenceError, match="gradient"):
+        optimize(OptimizerParams(e_i=1e-320, m_i=1.0, p_i=1.0))
+
+
+def test_descent_from_the_midpoint_lands_on_the_closed_form_corner():
+    # the descent stays as an independent reference on unit-scale boxes,
+    # where its fixed step settings converge
+    rng = new_rng(271)
+    for _ in range(40):
+        scale = rng.choice([0.1, 1.0, 10.0])
+        caps = tuple(rng.uniform(0.05, 1.0) * scale for _ in range(3))
+        lb = tuple(rng.uniform(0.0, 0.3) * c for c in caps) if rng.random() < 0.5 else (0, 0, 0)
+        params = OptimizerParams(e_i=caps[0], m_i=caps[1], p_i=caps[2],
+                                 alpha1=rng.uniform(0.5, 2), alpha2=rng.uniform(0.5, 2),
+                                 omega_max=5.0, lower_bound=lb,
+                                 lambda4=rng.uniform(0, 1) if rng.random() < 0.5 else 0.0)
+        lo, hi = _box(params)
+        midpoint = tuple((l + c) / 2 for l, c in zip(lo, caps))
+        point, _, _, converged = projected_descent(
+            lambda x: lagrangian_value(x, params), lambda x: lagrangian_gradient(x, params),
+            midpoint, (lo, hi), 0.1, 1e-8, 100_000)
+        assert converged
+        assert optimize(params).point == pytest.approx(point, abs=1e-12)
 
 
 def test_optimize_respects_a_nonzero_lower_bound():
@@ -144,20 +214,6 @@ def test_optimize_respects_a_nonzero_lower_bound():
     assert cp.point == pytest.approx((1.0, 0.5, 2.0), abs=1e-9)
 
 
-def test_optimize_starts_at_midpoint_when_unspecified():
-    # a start already at the answer takes zero iterations
-    cp = optimize(UNIT, start=(0.0, 0.0, 0.0))
-    assert cp.iterations == 0
-    assert cp.converged
-
-
-def test_optimize_rejects_start_outside_the_box():
-    with pytest.raises(InputError):
-        optimize(UNIT, start=(1.5, 0.5, 0.5))
-    with pytest.raises(InputError):
-        optimize(UNIT, start=(1.0, 0.5, 0.5))  # capacity itself is outside
-
-
 def test_optimize_rejects_lower_bound_above_capacity():
     with pytest.raises(InfeasibleError):
         optimize(OptimizerParams(e_i=1.0, m_i=1.0, p_i=1.0, lower_bound=(2.0, 0, 0)))
@@ -165,9 +221,9 @@ def test_optimize_rejects_lower_bound_above_capacity():
 
 def test_objective_never_increases_along_the_run():
     params = OptimizerParams(e_i=3.0, m_i=5.0, p_i=2.0, alpha1=0.9, alpha2=1.1)
-    start = tuple(c / 2 for c in params.capacities)
-    cp = optimize(params, start=start)
-    assert lagrangian_value(cp.point, params) <= lagrangian_value(start, params) + 1e-12
+    midpoint = tuple(c / 2 for c in params.capacities)
+    cp = optimize(params)
+    assert lagrangian_value(cp.point, params) <= lagrangian_value(midpoint, params) + 1e-12
 
 
 def test_oracle_finds_the_corner_of_a_rising_cost():

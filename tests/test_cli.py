@@ -66,6 +66,12 @@ def test_spec_rejects_bad_jobs(tmp_path):
         _tiny_spec(tmp_path, jobs=0)
 
 
+def test_spec_rejects_a_bool_for_jobs(tmp_path):
+    # True == 1, yet it names no job count
+    with pytest.raises(ConstraintError, match="jobs"):
+        _tiny_spec(tmp_path, jobs=True)
+
+
 def test_strategy_sweep_collapses_the_strategy_axis(tmp_path):
     spec = _tiny_spec(tmp_path, sweep_var="strategy",
                       sweep_values=("mct", "greedy"), seeds=(0,))
@@ -218,6 +224,13 @@ def test_main_missing_config_file_is_io_error(tmp_path):
 def test_main_unknown_key_is_schema_error(tmp_path):
     path = _write_config(tmp_path, {"num_devicez": 2})
     assert main(["--config", path]) == EXIT_SCHEMA
+
+
+def test_removed_startup_overhead_key_is_a_schema_error(tmp_path):
+    doc = {"executor": {"startup_overhead_lo_mb": 1.0}}
+    with pytest.raises(SchemaError, match="executor.startup_overhead_lo_mb"):
+        load_config(_write_config(tmp_path, doc))
+    assert main(["--config", _write_config(tmp_path, doc)]) == EXIT_SCHEMA
 
 
 def test_main_bad_enum_is_enum_error(tmp_path):

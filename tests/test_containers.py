@@ -109,7 +109,7 @@ def test_create_charges_memory_plus_image_overhead():
     node = _node(granularity=1e9)
     task = _task(cycles=1e9, memory=100.0, td_max=2.0)
     before_mem, before_cc = node.free_memory, node.free_compute
-    c = create_container(node, task, new_rng(0))
+    c = create_container(node, task)
     assert c.memory == pytest.approx(120.0)  # 100 + 20 image layer
     assert c.state == "busy"
     assert node.free_memory == pytest.approx(before_mem - 120.0)
@@ -120,27 +120,27 @@ def test_create_charges_memory_plus_image_overhead():
 
 def test_vm_mode_charges_the_full_os_image():
     node = _node(mode="vm")
-    c = create_container(node, _task(memory=100.0), new_rng(0))
+    c = create_container(node, _task(memory=100.0))
     assert c.memory == pytest.approx(612.0)  # 100 + 512 guest image
 
 
 def test_create_rejects_when_memory_runs_out():
     node = _node(memory=110.0)
     with pytest.raises(PlacementRejected):
-        create_container(node, _task(memory=100.0), new_rng(0))  # needs 120
+        create_container(node, _task(memory=100.0))  # needs 120
 
 
 def test_create_rejects_when_compute_runs_out():
     node = _node(cpu=1e9, granularity=1e9)
     node.free_compute = 0.5e9
     with pytest.raises(PlacementRejected):
-        create_container(node, _task(cycles=1e9, td_max=2.0), new_rng(0))
+        create_container(node, _task(cycles=1e9, td_max=2.0))
 
 
 def test_release_then_reuse_round_trip():
     node = _node()
     task = _task(cycles=1e9, memory=100.0, td_max=2.0)
-    c = create_container(node, task, new_rng(0))
+    c = create_container(node, task)
     release_container(node, c.id, now=1.0)
     assert c.state == "free" and c.freed_at == 1.0
     decision = select_container(node, task)
@@ -156,7 +156,7 @@ def test_release_unknown_container_is_a_state_error():
 def test_reaping_returns_capacity_exactly():
     node = _node(ttl=4.0)
     task = _task(cycles=1e9, memory=100.0, td_max=2.0)
-    c = create_container(node, task, new_rng(0))
+    c = create_container(node, task)
     release_container(node, c.id, now=1.0)
     assert reap_idle(node, now=4.9) == []          # idle 3.9 s, survives
     reaped = reap_idle(node, now=5.0)              # idle 4.0 s, at the ttl
@@ -168,7 +168,7 @@ def test_reaping_returns_capacity_exactly():
 
 def test_busy_containers_survive_reaping():
     node = _node(ttl=4.0)
-    c = create_container(node, _task(), new_rng(0))
+    c = create_container(node, _task())
     assert reap_idle(node, now=100.0) == []
     assert c in node.container_pool
 

@@ -7,11 +7,10 @@ formula before these tests were written.
 import pytest
 
 from aucrac.core import ResourceWeights, Task, WorkerNode
-from aucrac.costmodel import (ResourceDemand, deadline_eligibility,
-                              execution_cost, execution_cost_unchecked,
-                              execution_time, resource_function, valuation,
-                              valuation_unchecked)
-from aucrac.errors import ConstraintError, InfeasibleError, InputError
+from aucrac.costmodel import (deadline_eligibility, execution_cost,
+                              execution_cost_unchecked, execution_time,
+                              valuation, valuation_unchecked)
+from aucrac.errors import InfeasibleError, InputError
 from aucrac.rng import new_rng
 
 
@@ -23,26 +22,6 @@ def _node(cpu=2.0, memory=3.0, power=4.0, unit_cost=1.0, time_const=5.0):
 def _task(cycles, memory, power, deadline=10.0, td_max=2.0):
     return Task(id="t", data_in=1.0, data_out=0.5, cycles=cycles,
                 memory=memory, power=power, deadline=deadline, td_max=td_max)
-
-
-def test_resource_function_frozen_value():
-    # lambda 1/3 each, alpha1 0.5, alpha2 0.8:
-    # 2/3 + 0.5*(1/3)*3 + 0.8*(1/3)*4 = 2.2333...
-    w = ResourceWeights(alpha1=0.5, alpha2=0.8)
-    assert resource_function(ResourceDemand(2.0, 3.0, 4.0), w) == pytest.approx(
-        2.2333333333333334, rel=1e-12)
-
-
-def test_resource_function_scales_with_delta():
-    w1 = ResourceWeights()
-    w2 = ResourceWeights(delta=2.0)
-    d = ResourceDemand(1.0, 2.0, 3.0)
-    assert resource_function(d, w2) == pytest.approx(2 * resource_function(d, w1))
-
-
-def test_demand_rejects_negative_component():
-    with pytest.raises(ConstraintError):
-        ResourceDemand(-1.0, 0.0, 0.0)
 
 
 def test_execution_cost_frozen_value():

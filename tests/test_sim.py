@@ -6,7 +6,7 @@ import pytest
 
 import aucrac.containers as ct
 import aucrac.sim as sim
-from aucrac.auction import AuctionConfig, run_sealed_auction
+from aucrac.auction import run_sealed_auction
 from aucrac.core import Bid, SimConfig, Task, WorkerNode, default_config, generate_workload
 from aucrac.costmodel import deadline_eligibility, execution_time, valuation
 from aucrac.errors import InfeasibleError, InputError, StateError
@@ -299,7 +299,7 @@ def _sealed_reference(task, nodes, config, now):
                         submit_time=now, eligible=deadline_eligibility(node, task)))
     if not bids:
         return None
-    return run_sealed_auction(task, bids, AuctionConfig(win_rule=config.win_rule))
+    return run_sealed_auction(task, bids, config.win_rule)
 
 
 @pytest.mark.parametrize("strategy", ["aucrac", "auction_basic"])
@@ -338,7 +338,7 @@ def test_ranked_auction_picks_the_sealed_bid_winner(strategy, win_rule):
 # the event time each corrupting call reveals: release and reap are passed
 # it, and the first create happens in the first round of the task it places
 EVENT_TIME = {
-    "create_container": lambda task, rng: task.arrival_time,
+    "create_container": lambda task: task.arrival_time,
     "release_container": lambda container_id, now: now,
     "reap_idle": lambda now: now,
 }
@@ -381,7 +381,7 @@ def test_end_of_run_scan_catches_a_node_no_event_touches(monkeypatch):
 def test_reaping_follows_the_idle_ttl_boundary_of_reap_idle():
     engine = sim._Engine(default_config(strategy="aucrac"))
     node = engine.nodes[2]
-    container = ct.create_container(node, _simple_task(), new_rng(0))
+    container = ct.create_container(node, _simple_task())
     engine.pending_exec["tx"] = (node.id, container.id, container.compute,
                                  container.memory, 1)
     engine._handle_release(1.0, "tx", node.id, container.id)
