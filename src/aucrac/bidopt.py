@@ -37,6 +37,9 @@ class OptimizerParams:
             v = getattr(self, name)
             if not v > 0:
                 raise ConstraintError(f"optimizer.{name}", f"must be positive, got {v!r}")
+        # an infinite budget (the default) leaves the cycle axis unbounded
+        if not self.omega_max > 0:
+            raise ConstraintError("optimizer.omega_max", f"must be positive, got {self.omega_max!r}")
         # a multiplier on an inequality budget is never negative
         if not (math.isfinite(self.lambda4) and self.lambda4 >= 0):
             raise ConstraintError("optimizer.lambda4",
@@ -146,14 +149,21 @@ def optimize(params: OptimizerParams) -> CriticalPoint:
 
     Per axis: the lower bound where the gradient is positive, the open
     upper face where it is negative, and the box midpoint where it is
-    zero, which is where a descent started at the midpoint stays.
+    zero, which is where a descent started at the midpoint stays. The
+    cycle allocation is then capped at the time budget,
+    e_j <= omega_max * e_i / phi_i; a lower bound already over the
+    budget is infeasible, as it is for grid_oracle.
     """
     lo, hi = _box(params)
+    if params.phi_i * lo[0] / params.e_i > params.omega_max:
+        raise InfeasibleError(
+            f"lower bound {lo[0]:g} cycles/s already exceeds the execution time budget")
     grad = lagrangian_gradient(lo, params)
     if not all(math.isfinite(g) for g in grad):
         raise DivergenceError(f"gradient is not finite: {grad}")
-    point = tuple(l if g > 0 else h if g < 0 else (l + c) / 2.0
-                  for g, l, h, c in zip(grad, lo, hi, params.capacities))
+    e_j, m_j, p_j = (l if g > 0 else h if g < 0 else (l + c) / 2.0
+                     for g, l, h, c in zip(grad, lo, hi, params.capacities))
+    point = (max(lo[0], min(e_j, params.omega_max * params.e_i / params.phi_i)), m_j, p_j)
     if not math.isfinite(lagrangian_value(point, params)):
         raise DivergenceError(f"objective is not finite at the box minimum {point}")
     return CriticalPoint(e_j=point[0], m_j=point[1], p_j=point[2],

@@ -128,17 +128,21 @@ def reap_idle(node: WorkerNode, now: float) -> list[Container]:
 
 
 def can_place(node: WorkerNode, task: Task) -> bool:
-    """Whether a placement would go through right now, commit checks included."""
-    decision = select_container(node, task)
-    if decision.action == "requeue":
+    """Whether a placement would go through right now, commit checks included.
+
+    The answer does not depend on which fitting free container
+    select_container would pick, so any fit answers it: nothing is sorted.
+    """
+    memory, cycles, td_max = task.memory, task.cycles, task.td_max
+    for c in node.container_pool:
+        if c.state == "free" and c.memory > memory and cycles / c.compute < td_max:
+            return True
+    # the create path: select_container's check, then create_container's
+    if not (node.free_memory > memory and cycles / node.cpu < td_max):
         return False
-    if decision.action == "create":
-        mem_need = task.memory + _placement_overhead(node)
-        if node.free_memory < mem_need:
-            return False
-        if slice_for(node, task) > node.free_compute:
-            return False
-    return True
+    if node.free_memory < memory + _placement_overhead(node):
+        return False
+    return slice_for(node, task) <= node.free_compute
 
 
 def memory_footprint(node: WorkerNode, task_count: int, executor_mode: str) -> float:

@@ -13,14 +13,19 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from . import containers as ct
-# rank_bidders reproduces run_sealed_auction's resolution order; the name is
-# kept here because the benchmark's tracer (perfbench/tracer.py) wraps it on sim
+# The benchmark's tracer (perfbench/tracer.py) looks these names up on this
+# module when it installs and fails if one is missing: valuation,
+# valuation_unchecked, deadline_eligibility, execution_time,
+# run_sealed_auction, run_task_auction, assign, generate_workload and
+# new_rng. So they stay importable here even where the engine does not call
+# them: price_hosts prices a task with the arithmetic of valuation and
+# deadline_eligibility, and rank_bidders reproduces run_sealed_auction's order.
 from .auction import allocate_tasks_literal, mn_revenue, run_sealed_auction  # noqa: F401
 from .core import (AuctionOutcome, MetricsRecord, SimConfig, Task, WorkerNode,
                    generate_workload)
-from .costmodel import (deadline_eligibility, execution_time, valuation,
-                        valuation_unchecked)
-from .errors import InfeasibleError, InputError, PlacementRejected, StateError
+from .costmodel import (deadline_eligibility, execution_time, price_hosts,  # noqa: F401
+                        valuation, valuation_unchecked)
+from .errors import InputError, PlacementRejected, StateError
 from .rng import Rng, new_rng
 
 # at one instant, capacity leaves before it is retaken: finishes and
@@ -123,16 +128,10 @@ def rank_bidders(task: Task, nodes, config: SimConfig) -> tuple:
     its eligibility depend only on the task and the node's fixed
     capacities, so one ranking serves every round of the task.
     """
-    hosts = []
-    for node in nodes:
-        try:
-            hosts.append((valuation(node, task, config.weights, config.bid_margin), node))
-        except InfeasibleError:
-            continue
     sign = 1.0 if config.win_rule == "lowest" else -1.0
-    ranking = sorted([host for host in hosts if deadline_eligibility(host[1], task)],
-                     key=lambda host: (sign * host[0], host[1].id))
-    return hosts, ranking
+    hosts, eligible = price_hosts(task, nodes, config.weights, config.bid_margin, sign)
+    eligible.sort()
+    return hosts, [(ask, node) for _, _, _, ask, node in eligible]
 
 
 def first_taker(ranking, task: Task, strategy: str):
@@ -142,8 +141,10 @@ def first_taker(ranking, task: Task, strategy: str):
     task. The container-aware strategy walks on to the first node that
     can place the task right now.
     """
+    if strategy != "aucrac":
+        return ranking[0] if ranking else None
     for ask, node in ranking:
-        if strategy != "aucrac" or ct.can_place(node, task):
+        if ct.can_place(node, task):
             return ask, node
     return None
 

@@ -81,6 +81,17 @@ def test_params_reject_a_negative_or_non_finite_multiplier(value):
         OptimizerParams(e_i=1.0, m_i=1.0, p_i=1.0, omega_max=2.0, lambda4=value)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, -math.inf, math.nan])
+def test_params_reject_a_non_positive_or_nan_budget(value):
+    with pytest.raises(ConstraintError, match="omega_max"):
+        OptimizerParams(e_i=1.0, m_i=1.0, p_i=1.0, omega_max=value)
+
+
+def test_params_accept_an_infinite_budget():
+    assert OptimizerParams(e_i=1.0, m_i=1.0, p_i=1.0).omega_max == math.inf
+    assert optimize(OptimizerParams(e_i=1.0, m_i=1.0, p_i=1.0, omega_max=math.inf)).converged
+
+
 # --- generic descent ------------------------------------------------------
 
 def test_descent_marches_a_linear_slope_to_the_corner():
@@ -217,6 +228,45 @@ def test_optimize_respects_a_nonzero_lower_bound():
 def test_optimize_rejects_lower_bound_above_capacity():
     with pytest.raises(InfeasibleError):
         optimize(OptimizerParams(e_i=1.0, m_i=1.0, p_i=1.0, lower_bound=(2.0, 0, 0)))
+
+
+def test_optimize_rejects_a_lower_bound_over_the_time_budget():
+    # phi * 0.5 / 1 = 0.5 s already exceeds the 0.1 s budget
+    params = OptimizerParams(1, 1, 1, phi_i=1, omega_max=0.1, lower_bound=(0.5, 0, 0))
+    with pytest.raises(InfeasibleError):
+        optimize(params)
+    with pytest.raises(InfeasibleError):
+        grid_oracle(params, 16)
+
+
+def test_optimize_caps_the_cycle_allocation_at_the_time_budget():
+    # a falling cycle axis heads for the upper face; the budget stops it first
+    params = OptimizerParams(e_i=0.2, m_i=0.2, p_i=0.2, phi_i=2.0, omega_max=0.5)
+    assert lagrangian_gradient((0.0, 0.0, 0.0), params)[0] < 0
+    cp = optimize(params)
+    assert cp.e_j == 0.5 * 0.2 / 2.0
+    assert params.phi_i * cp.e_j / params.e_i <= params.omega_max
+    _, hi = _box(params)
+    assert (cp.m_j, cp.p_j) == hi[1:]
+    # a flat cycle axis keeps its midpoint only while the budget allows it
+    flat = OptimizerParams(e_i=0.25, m_i=0.25, p_i=0.5, omega_max=0.2)
+    assert lagrangian_gradient((0.0, 0.0, 0.0), flat)[0] == 0.0
+    assert optimize(flat).e_j == 0.2 * 0.25
+    # a budget the lower bound meets exactly leaves the lower bound in place
+    edge = OptimizerParams(e_i=0.2, m_i=0.2, p_i=0.2, omega_max=0.5, lower_bound=(0.1, 0, 0))
+    assert optimize(edge).e_j == 0.1
+
+
+def test_a_slack_budget_never_moves_the_optimum():
+    rng = new_rng(419)
+    for _ in range(50):
+        caps = tuple(rng.uniform(0.05, 1.0) for _ in range(3))
+        params = OptimizerParams(e_i=caps[0], m_i=caps[1], p_i=caps[2],
+                                 alpha1=rng.uniform(0.5, 2), alpha2=rng.uniform(0.5, 2))
+        slack = OptimizerParams(e_i=caps[0], m_i=caps[1], p_i=caps[2],
+                                alpha1=params.alpha1, alpha2=params.alpha2,
+                                omega_max=params.phi_i * 1.01)
+        assert optimize(slack).point == optimize(params).point
 
 
 def test_objective_never_increases_along_the_run():

@@ -1,5 +1,7 @@
 """Container selection, lifecycle, and the executor memory model."""
 
+import copy
+
 import pytest
 
 from aucrac.containers import (can_place, create_container, memory_footprint,
@@ -173,6 +175,19 @@ def test_busy_containers_survive_reaping():
     assert c in node.container_pool
 
 
+def _placeable_by_commit(node, task):
+    # the definition can_place must keep: best fit, then the create commit
+    # tried for real on a copy of the node
+    decision = select_container(node, task)
+    if decision.action != "create":
+        return decision.action == "reuse"
+    try:
+        create_container(copy.deepcopy(node), task)
+    except PlacementRejected:
+        return False
+    return True
+
+
 def test_can_place_matches_the_commit_checks():
     node = _node(memory=130.0, granularity=1e9)
     task = _task(cycles=1e9, memory=100.0, td_max=2.0)
@@ -182,6 +197,51 @@ def test_can_place_matches_the_commit_checks():
     # select still says create (110 > 100) but the commit would reject
     assert select_container(node, task).action == "create"
     assert not can_place(node, task)
+
+    # a busy container that would fit does not count, on a node that
+    # cannot create; counting it as free would answer True
+    node = _node(memory=600.0, granularity=1e9)
+    _free_container(node, "wn0-c0000", memory=500.0, compute=4e9).mark_busy()
+    assert not can_place(node, _task(memory=100.0))
+    assert not _placeable_by_commit(node, _task(memory=100.0))
+
+    # generated pools: mixed busy and free containers, ties on (compute,
+    # memory), and nodes left exactly at their memory or compute edge
+    rng = new_rng(176)
+    busy_fit_refused = 0
+    answers = set()
+    for _ in range(2000):
+        node = _node(cpu=rng.choice([4e9, 8e9]), memory=rng.choice([600.0, 1200.0]),
+                     granularity=1e9, mode=rng.choice(["container", "vm"]))
+        for k in range(rng.randint(0, 5)):
+            mem = rng.choice([100.0, 150.0, 300.0])
+            cc = rng.choice([1e9, 2e9])
+            if mem <= node.free_memory and cc <= node.free_compute:
+                c = _free_container(node, f"wn0-c{k:04d}", mem, cc)
+                if rng.random() < 0.5:
+                    c.mark_busy()
+        task = _task(cycles=rng.choice([1e9, 2e9, 3e9]), memory=rng.choice([50.0, 100.0, 150.0]),
+                     td_max=rng.choice([0.5, 1.0, 2.0]))
+        edge = rng.randint(0, 4)
+        if edge == 1:   # exactly the memory the commit needs
+            image = (node.executor.os_image_overhead_mb if node.executor_mode == "vm"
+                     else node.executor.lib_overhead_mb)
+            node.free_memory = task.memory + image
+        elif edge == 2:  # exactly the memory select_container refuses
+            node.free_memory = task.memory
+        elif edge == 3:  # exactly the compute the slice needs
+            node.free_compute = slice_for(node, task)
+        elif edge == 4:  # one cycle/s short of it
+            node.free_compute = slice_for(node, task) - 1.0
+        want = _placeable_by_commit(node, task)
+        assert can_place(node, task) == want
+        answers.add(want)
+        if not want and any(c.state == "busy" and c.memory > task.memory
+                            and task.cycles / c.compute < task.td_max
+                            for c in node.container_pool):
+            busy_fit_refused += 1
+    assert answers == {True, False}
+    assert busy_fit_refused > 0
 
 
 def test_best_fit_agrees_with_brute_force_on_random_pools():
