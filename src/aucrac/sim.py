@@ -28,15 +28,10 @@ from .costmodel import (deadline_eligibility, execution_time, price_hosts,  # no
 from .errors import InputError, PlacementRejected, StateError
 from .rng import Rng, new_rng
 
-# at one instant, capacity leaves before it is retaken: finishes and
-# releases resolve ahead of the starts scheduled for the same time
-KIND_RANK = {
-    "task_arrival": 0,
-    "auction_round": 1,
-    "exec_finish": 2,
-    "container_release": 3,
-    "exec_start": 4,
-}
+# A heap entry is (time, rank, task id); at one instant events run in rank
+# order, then by task id. Capacity leaves before it is retaken: finishes and
+# releases resolve ahead of the starts scheduled for the same time.
+ARRIVAL, ROUND, FINISH, RELEASE, START = range(5)
 
 
 @dataclass(frozen=True)
@@ -224,13 +219,10 @@ class _Engine:
         self.tasks = {}
         self.state = SimState(config=config)
         self.heap = []
-        self.seq = 0
         self.log: list[SimEvent] = []
-        self.arrival_time = {}
         self.payments = {}
-        self.winners = {}
         self.retries = {}
-        self.pending_exec = {}
+        self.pending_exec = {}  # task id -> (node id, container id, cc, mem, created)
         self.finished = {}      # task id -> (completion seconds, missed flag)
         self.failed = set()
         self.arrived = 0
@@ -261,11 +253,6 @@ class _Engine:
         return nodes
 
     # -- event plumbing ----------------------------------------------------
-
-    def _push(self, time, kind, task_id="", node_id="", container_id=""):
-        self.seq += 1
-        heapq.heappush(self.heap, (time, KIND_RANK[kind], (task_id, node_id, container_id),
-                                   self.seq, kind))
 
     def _log(self, time, kind, task_id="", node_id="", container_id="", detail=""):
         self.log.append(SimEvent(time=time, kind=kind, task_id=task_id,
@@ -311,13 +298,13 @@ class _Engine:
         self.tasks[task.id] = valued
         return valued
 
-    def _handle_arrival(self, now: float, task: Task):
+    def _handle_arrival(self, now: float, task_id: str):
         self.arrived += 1
-        self.arrival_time[task.id] = now
+        task = self.tasks[task_id]
         if self.config.strategy in ("aucrac", "auction_basic"):
-            task = self._fill_value(task)
-        self._log(now, "task_arrival", task_id=task.id, detail=f"class={task.intensity}")
-        self._push(now, "auction_round", task_id=task.id)
+            self._fill_value(task)
+        self._log(now, "task_arrival", task_id=task_id, detail=f"class={task.intensity}")
+        heapq.heappush(self.heap, (now, ROUND, task_id))
 
     def _retry(self, now: float, task: Task):
         count = self.retries.get(task.id, 0) + 1
@@ -328,23 +315,22 @@ class _Engine:
             self._log(now, "auction_round", task_id=task.id, detail="result=failed_to_place")
         else:
             self._log(now, "auction_round", task_id=task.id, detail=f"result=retry;attempt={count}")
-            self._push(now + self.config.retry_interval_s, "auction_round", task_id=task.id)
+            heapq.heappush(self.heap, (now + self.config.retry_interval_s, ROUND, task.id))
 
-    def _commit_whole_node(self, now: float, task: Task, node: WorkerNode, payment: float):
+    def _commit_whole_node(self, now: float, task: Task, node: WorkerNode) -> tuple:
+        # queue the task behind the node's last one; returns (start, finish)
         start = max(now, self.state.available_at.get(node.id, 0.0))
-        duration = execution_time(node, task)
-        finish = start + duration
+        finish = start + execution_time(node, task)
         self.state.available_at[node.id] = finish
-        self.payments[task.id] = payment
-        self.winners[task.id] = node.id
         self.pending_exec[task.id] = (node.id, "", node.cpu, task.memory, 0)
-        self._push(start, "exec_start", task_id=task.id, node_id=node.id)
-        self._push(finish, "exec_finish", task_id=task.id, node_id=node.id)
+        return start, finish
 
-    def _commit_container(self, now: float, task: Task, node: WorkerNode, payment: float) -> bool:
+    def _commit_container(self, now: float, task: Task, node: WorkerNode) -> tuple | None:
+        # run the task in a container now; returns (start, finish), or None
+        # when the node cannot place it after all
         decision = ct.select_container(node, task)
         if decision.action == "requeue":
-            return False
+            return None
         if decision.action == "reuse":
             container = next(c for c in node.container_pool if c.id == decision.container_id)
             container.mark_busy()
@@ -353,20 +339,13 @@ class _Engine:
             try:
                 container = ct.create_container(node, task)
             except PlacementRejected:
-                return False
+                return None
             created = 1
-        duration = task.cycles / container.compute
-        self.payments[task.id] = payment
-        self.winners[task.id] = node.id
         self.pending_exec[task.id] = (node.id, container.id, container.compute,
                                       container.memory, created)
         self._touch_mem(node.id)
         self.touched.append(node)
-        self._push(now, "exec_start", task_id=task.id, node_id=node.id,
-                   container_id=container.id)
-        self._push(now + duration, "exec_finish", task_id=task.id, node_id=node.id,
-                   container_id=container.id)
-        return True
+        return now, now + task.cycles / container.compute
 
     def _reap(self, now: float):
         # a node can only have something to reap if it freed a container at
@@ -385,7 +364,7 @@ class _Engine:
                 self._log(now, "container_release", node_id=node.id, container_id=gone.id,
                           detail=f"cc={gone.compute!r};mem={gone.memory!r};from=free;destroyed=1")
 
-    def _literal_round(self, now: float, task: Task) -> tuple:
+    def _literal_round(self, task: Task) -> tuple:
         # standing bids continue positionally across rounds, exactly as the
         # batch procedure would keep its arrays
         values = [valuation_unchecked(n, task, self.config.weights, self.config.bid_margin)
@@ -398,36 +377,33 @@ class _Engine:
     def _handle_round(self, now: float, task_id: str):
         task = self.tasks[task_id]
         strategy = self.config.strategy
+        auction = strategy in ("aucrac", "auction_basic")
         if strategy == "aucrac":
             self._reap(now)
         self.state.now = now
 
-        if strategy in ("aucrac", "auction_basic"):
-            if self.config.auction_mode == "literal":
-                node, payment = self._literal_round(now, task)
-                detail = f"result=assigned;winner={node.id};payment={payment!r}"
-            else:
-                pick = first_taker(self.rankings[task_id], task, strategy)
-                if pick is None:
-                    self._retry(now, task)
-                    return
-                payment, node = pick
-                detail = f"result=assigned;winner={node.id};payment={payment!r}"
-            if strategy == "aucrac":
-                if not self._commit_container(now, task, node, payment):
-                    self._retry(now, task)
-                    return
-            else:
-                self._commit_whole_node(now, task, node, payment)
-            del self.rankings[task_id]
-            self._log(now, "auction_round", task_id=task.id, node_id=node.id, detail=detail)
+        if not auction:
+            node = self.node_by_id[assign(strategy, task, self.nodes, self.rng_dyn, self.state)]
+            payment = valuation_unchecked(node, task, self.config.weights, self.config.bid_margin)
+        elif self.config.auction_mode == "literal":
+            node, payment = self._literal_round(task)
+        else:
+            pick = first_taker(self.rankings[task_id], task, strategy)
+            if pick is None:
+                self._retry(now, task)
+                return
+            payment, node = pick
+        commit = self._commit_container if strategy == "aucrac" else self._commit_whole_node
+        span = commit(now, task, node)
+        if span is None:
+            self._retry(now, task)
             return
-
-        node_id = assign(strategy, task, self.nodes, self.rng_dyn, self.state)
-        node = self.node_by_id[node_id]
-        payment = valuation_unchecked(node, task, self.config.weights, self.config.bid_margin)
-        self._commit_whole_node(now, task, node, payment)
-        self._log(now, "auction_round", task_id=task.id, node_id=node.id,
+        if auction:
+            del self.rankings[task_id]
+        self.payments[task_id] = payment
+        heapq.heappush(self.heap, (span[0], START, task_id))
+        heapq.heappush(self.heap, (span[1], FINISH, task_id))
+        self._log(now, "auction_round", task_id=task_id, node_id=node.id,
                   detail=f"result=assigned;winner={node.id};payment={payment!r}")
 
     def _handle_exec_start(self, now: float, task_id: str):
@@ -445,26 +421,25 @@ class _Engine:
     def _handle_exec_finish(self, now: float, task_id: str):
         node_id, container_id, cc, mem, _created = self.pending_exec[task_id]
         task = self.tasks[task_id]
-        completion = now - self.arrival_time[task_id]
+        completion = now - task.arrival_time
         missed = completion > task.deadline
         self.finished[task_id] = (completion, missed)
         if not container_id:
             self._cpu_change(node_id, -cc, now)
             self.whole_mem[node_id] -= mem
         else:
-            self._push(now, "container_release", task_id=task_id, node_id=node_id,
-                       container_id=container_id)
+            heapq.heappush(self.heap, (now, RELEASE, task_id))
         self._log(now, "exec_finish", task_id=task_id, node_id=node_id,
                   container_id=container_id,
                   detail=f"cc={cc!r};mem={mem!r};completion={completion!r}")
 
-    def _handle_release(self, now: float, task_id: str, node_id: str, container_id: str):
+    def _handle_release(self, now: float, task_id: str):
+        node_id, container_id, cc, mem, _created = self.pending_exec[task_id]
         node = self.node_by_id[node_id]
         ct.release_container(node, container_id, now)
         self.freed.append((now, self.node_index[node_id]))
         self.touched.append(node)
-        self._cpu_change(node_id, -self.pending_exec[task_id][2], now)
-        cc, mem = self.pending_exec[task_id][2], self.pending_exec[task_id][3]
+        self._cpu_change(node_id, -cc, now)
         self._log(now, "container_release", task_id=task_id, node_id=node_id,
                   container_id=container_id,
                   detail=f"cc={cc!r};mem={mem!r};from=busy;destroyed=0")
@@ -475,23 +450,15 @@ class _Engine:
         workload = generate_workload(self.config, self.rng_workload)
         for task in workload:
             self.tasks[task.id] = task
-            self._push(task.arrival_time, "task_arrival", task_id=task.id)
+            heapq.heappush(self.heap, (task.arrival_time, ARRIVAL, task.id))
+        handlers = (self._handle_arrival, self._handle_round, self._handle_exec_finish,
+                    self._handle_release, self._handle_exec_start)  # indexed by rank
         horizon = self.config.horizon_s
         while self.heap:
-            time, _rank, key, _seq, kind = heapq.heappop(self.heap)
+            time, rank, task_id = heapq.heappop(self.heap)
             if time > horizon:
                 break
-            task_id, node_id, container_id = key
-            if kind == "task_arrival":
-                self._handle_arrival(time, self.tasks[task_id])
-            elif kind == "auction_round":
-                self._handle_round(time, task_id)
-            elif kind == "exec_start":
-                self._handle_exec_start(time, task_id)
-            elif kind == "exec_finish":
-                self._handle_exec_finish(time, task_id)
-            elif kind == "container_release":
-                self._handle_release(time, task_id, node_id, container_id)
+            handlers[rank](time, task_id)
             self._check_invariants(time)
         _check_books(self.nodes, "at the end of the run")
         return SimResult(metrics=self._metrics(), log_lines=tuple(e.line() for e in self.log),
@@ -503,7 +470,7 @@ class _Engine:
         missed = sum(1 for _, m in self.finished.values() if m)
         completed = len(self.finished) - missed
         in_flight = self.arrived - len(self.finished) - len(self.failed)
-        outcomes = [AuctionOutcome(task_id=tid, winner=self.winners[tid],
+        outcomes = [AuctionOutcome(task_id=tid, winner=self.pending_exec[tid][0],
                                    payment=self.payments[tid])
                     for tid in self.finished]
         profit = mn_profit(outcomes, self.tasks.values(), self.config.unit_price)
@@ -512,11 +479,8 @@ class _Engine:
         p95 = _percentile(completions, 0.95)
         cpu_fracs = []
         for node in self.nodes:
-            acc = self.cpu_acc[node.id]
-            span = horizon - self.cpu_last[node.id]
-            if span > 0:
-                acc += (self.busy_cc[node.id] / node.cpu) * span
-            cpu_fracs.append(acc / horizon if horizon > 0 else 0.0)
+            self._cpu_change(node.id, 0.0, horizon)  # close the integral at the horizon
+            cpu_fracs.append(self.cpu_acc[node.id] / horizon if horizon > 0 else 0.0)
         return MetricsRecord(
             tasks_arrived=self.arrived,
             tasks_completed=completed,

@@ -8,10 +8,12 @@ so they pin the behaviour of the straightforward full-rescan engine.
 
 import functools
 import hashlib
+import os
 
 import pytest
 
 from aucrac import default_config, run
+from aucrac.cli import ExperimentSpec, run_experiment
 from aucrac.core import STRATEGIES
 
 CASES = {f"{s}/seed={seed}": dict(strategy=s, seed=seed)
@@ -86,3 +88,21 @@ def test_the_large_case_exercises_retries_failures_and_reaps():
     assert any("result=retry" in ln for ln in lines)
     assert any("result=failed_to_place" in ln for ln in lines)
     assert any("destroyed=1" in ln for ln in lines)
+
+
+# the CLI's CSV formatting and seed aggregation over a small sweep:
+# devices 10 and 20, all six strategies, seeds 0-2
+SWEEP_DIGESTS = {
+    "results.csv": "1c9ee75359c81574c9bcdc3d81ddc0532e275906e11d2e545be456bc2edbc9a0",
+    "aggregate.csv": "2be9767d644e49414be4065ea3c6b29e5884c96640f41634520b3e2d518c8e0f",
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_csvs_match_their_golden_digests(tmp_path, jobs):
+    spec = ExperimentSpec(base=default_config(), sweep_values=(10, 20), seeds=(0, 1, 2),
+                          out_dir=str(tmp_path), jobs=jobs)
+    for path in run_experiment(spec):
+        with open(path, "rb") as fh:
+            got = hashlib.sha256(fh.read()).hexdigest()
+        assert got == SWEEP_DIGESTS[os.path.basename(path)]

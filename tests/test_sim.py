@@ -1,6 +1,8 @@
 """Event engine behavior: strategies, determinism, logs, and metrics."""
 
+import heapq
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -333,6 +335,45 @@ def test_ranked_auction_picks_the_sealed_bid_winner(strategy, win_rule):
     assert ("nobody bid" in seen) == (strategy == "aucrac")
 
 
+# --- the event heap -------------------------------------------------------
+
+def _heap_configs():
+    base = default_config(num_devices=40)
+    for strategy in ("aucrac", "random", "round_robin", "greedy", "mct", "auction_basic"):
+        yield replace(base, strategy=strategy)
+    for strategy in ("aucrac", "auction_basic"):
+        yield replace(base, strategy=strategy, auction_mode="literal")
+        # short TTL, short retries and one requeue: reaps, retries and failures
+        yield replace(base, strategy=strategy, num_devices=150, num_workers=8,
+                      retry_interval_s=0.3,
+                      executor=replace(base.executor, idle_ttl_s=0.5, max_requeues=1))
+
+
+def test_no_two_pending_events_share_time_rank_and_task(monkeypatch):
+    # an entry carries nothing but (time, rank, task id), so the order of
+    # dispatch is fully defined only if no two pending entries are equal
+    pending = set()
+
+    def push(heap, entry):
+        assert entry not in pending, f"duplicate pending event {entry!r}"
+        pending.add(entry)
+        heapq.heappush(heap, entry)
+
+    def pop(heap):
+        entry = heapq.heappop(heap)
+        pending.remove(entry)
+        return entry
+
+    monkeypatch.setattr(sim, "heapq", SimpleNamespace(heappush=push, heappop=pop))
+    lines = []
+    for config in _heap_configs():
+        pending.clear()
+        lines.extend(run(config).log_lines)
+    assert any("result=failed_to_place" in ln for ln in lines)
+    assert any("destroyed=1" in ln for ln in lines)
+    assert any(",container_release," in ln and "from=busy" in ln for ln in lines)
+
+
 # --- the books check ------------------------------------------------------
 
 # the event time each corrupting call reveals: release and reap are passed
@@ -384,7 +425,7 @@ def test_reaping_follows_the_idle_ttl_boundary_of_reap_idle():
     container = ct.create_container(node, _simple_task())
     engine.pending_exec["tx"] = (node.id, container.id, container.compute,
                                  container.memory, 1)
-    engine._handle_release(1.0, "tx", node.id, container.id)
+    engine._handle_release(1.0, "tx")
     ttl = node.executor.idle_ttl_s
     engine._reap(1.0 + ttl - 1e-9)
     assert node.container_pool == [container]
