@@ -20,7 +20,7 @@ from .core import (STRATEGIES, SimConfig, WorkerNode, config_from_json,
                    default_config)
 from .errors import (AucracError, ConstraintError, InputError, SchemaError,
                      UnknownEnumError)
-from .sim import run
+from .sim import left_sum, run
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -155,8 +155,8 @@ def run_experiment(spec: ExperimentSpec) -> tuple:
             cells = [spec.sweep_var, _fmt(value), strategy, str(len(rows_v))]
             for i in range(len(_AGG_METRICS)):
                 xs = [r[i] for r in rows_v]
-                mean = sum(xs) / len(xs)
-                var = max(0.0, sum(x * x for x in xs) / len(xs) - mean * mean)
+                mean = left_sum(xs) / len(xs)
+                var = max(0.0, left_sum(x * x for x in xs) / len(xs) - mean * mean)
                 cells.extend((_fmt(mean), _fmt(math.sqrt(var))))
             fh.write(",".join(cells) + "\n")
     log.info("wrote %s and %s", results_path, agg_path)
@@ -220,7 +220,7 @@ def emit_plot_data(results_csv: str, figure: str, out_dir: str | None = None) ->
         strategies = sorted({s for s, _ in series}, key=lambda s: (STRATEGIES.index(s)
                             if s in STRATEGIES else len(STRATEGIES), s))
         for strategy in strategies:
-            pairs = sorted((x, sum(v) / len(v)) for (s, x), v in series.items()
+            pairs = sorted((x, left_sum(v) / len(v)) for (s, x), v in series.items()
                            if s == strategy)
             write_series(f"completion_vs_devices__{strategy}", pairs)
     elif figure == "fairness_table":
@@ -233,7 +233,7 @@ def emit_plot_data(results_csv: str, figure: str, out_dir: str | None = None) ->
             for strategy in sorted(by_strategy, key=lambda s: (STRATEGIES.index(s)
                                    if s in STRATEGIES else len(STRATEGIES), s)):
                 vals = by_strategy[strategy]
-                fh.write(f"{strategy},{_fmt(sum(vals) / len(vals))}\n")
+                fh.write(f"{strategy},{_fmt(left_sum(vals) / len(vals))}\n")
         written.append(path)
     elif figure == "memory_vs_tasks":
         node = _reference_node()

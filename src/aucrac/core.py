@@ -99,6 +99,22 @@ class Task:
         _in_enum("task.intensity", self.intensity, INTENSITY_CLASSES)
 
 
+_TASK_FIELDS = tuple(f.name for f in fields(Task))
+
+
+def _trusted_task(values: dict) -> Task:
+    """A Task from values that already passed its checks, built without
+    re-running them: draws from a validated WorkloadSpec, or the fields of
+    a valid Task. `values` must name every field."""
+    task = object.__new__(Task)
+    # set one by one, as Task.__init__ does: a bulk __dict__ update would
+    # give each task its own, larger attribute table
+    store = object.__setattr__
+    for name in _TASK_FIELDS:
+        store(task, name, values[name])
+    return task
+
+
 @dataclass(frozen=True)
 class ExecutorConfig:
     """Executor-level constants shared by placement and the memory model."""
@@ -531,16 +547,20 @@ def generate_workload(config: SimConfig, rng: Rng) -> tuple:
         data_out = rng.uniform(*wl.data_out_mb)
         deadline = rng.uniform(*wl.deadline_s)
         td_max = rng.uniform(*wl.td_max_s)
-        tasks.append(Task(
-            id=f"t{i:05d}",
-            data_in=data_in,
-            data_out=data_out,
-            cycles=cycles,
-            memory=memory,
-            power=power,
-            deadline=deadline,
-            td_max=td_max,
-            arrival_time=clock,
-            intensity=label,
-        ))
+        tasks.append(_trusted_task({
+            "id": f"t{i:05d}",
+            "data_in": data_in,
+            "data_out": data_out,
+            "cycles": cycles,
+            "memory": memory,
+            "power": power,
+            "deadline": deadline,
+            "td_max": td_max,
+            "arrival_time": clock,
+            "value": None,
+            "intensity": label,
+        }))
+    # every draw lies inside a range WorkloadSpec validated; only the
+    # arrival clock can leave them, by overflowing, and it never decreases
+    _non_negative("task.arrival_time", clock)
     return tuple(tasks)

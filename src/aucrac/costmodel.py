@@ -2,7 +2,7 @@
 
 All functions are pure. A node whose capacity is not strictly above the
 task demand in every dimension is infeasible and must not bid.
-`price_hosts` is the engine's pass: it prices one task on many nodes
+`price_and_sum` is the engine's pass: it prices one task on many nodes
 with the same float operations as `valuation` and `deadline_eligibility`.
 """
 
@@ -64,7 +64,14 @@ def valuation_unchecked(node: WorkerNode, task: Task, weights: ResourceWeights,
 
 def price_hosts(task: Task, nodes, weights: ResourceWeights, margin: float,
                 sign: float) -> tuple:
-    """Price the task on every node in one pass; return (hosts, eligible).
+    """`price_and_sum` without the total: return (hosts, eligible)."""
+    hosts, eligible, _ = price_and_sum(task, nodes, weights, margin, sign)
+    return hosts, eligible
+
+
+def price_and_sum(task: Task, nodes, weights: ResourceWeights, margin: float,
+                  sign: float) -> tuple:
+    """Price the task on every node in one pass; return (hosts, eligible, total).
 
     `hosts` holds (ask, node) for each node whose capacity strictly
     dominates the task demand, in node order; each ask equals
@@ -72,7 +79,8 @@ def price_hosts(task: Task, nodes, weights: ResourceWeights, margin: float,
     holds (sign * ask, node id, position, ask, node) for the hosts with
     `deadline_eligibility` 1, so that sorting it needs no key function;
     the position settles a tie of ask and id, so a sort never compares
-    two nodes.
+    two nodes. `total` is the hosts' asks added left to right in node
+    order.
     """
     if margin < 0:
         raise InputError(f"margin must be non-negative, got {margin!r}")
@@ -84,6 +92,7 @@ def price_hosts(task: Task, nodes, weights: ResourceWeights, margin: float,
     cycles, memory, power, deadline = task.cycles, task.memory, task.power, task.deadline
     hosts = []
     eligible = []
+    total = 0.0
     for i, node in enumerate(nodes):
         cpu = node.cpu
         re_ = cycles / cpu
@@ -93,6 +102,7 @@ def price_hosts(task: Task, nodes, weights: ResourceWeights, margin: float,
             continue
         ask = up * (node.unit_cost * delta * (l1 * re_ + a1l2 * rm + a2l3 * rp))
         hosts.append((ask, node))
+        total += ask
         if deadline - node.time_const * cycles / cpu > 0.0:
             eligible.append((sign * ask, node.id, i, ask, node))
-    return hosts, eligible
+    return hosts, eligible, total

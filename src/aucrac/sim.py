@@ -18,13 +18,13 @@ from . import containers as ct
 # valuation_unchecked, deadline_eligibility, execution_time,
 # run_sealed_auction, run_task_auction, assign, generate_workload and
 # new_rng. So they stay importable here even where the engine does not call
-# them: price_hosts prices a task with the arithmetic of valuation and
+# them: price_and_sum prices a task with the arithmetic of valuation and
 # deadline_eligibility, and rank_bidders reproduces run_sealed_auction's order.
 from .auction import allocate_tasks_literal, mn_revenue, run_sealed_auction  # noqa: F401
 from .core import (AuctionOutcome, MetricsRecord, SimConfig, Task, WorkerNode,
-                   generate_workload)
-from .costmodel import (deadline_eligibility, execution_time, price_hosts,  # noqa: F401
-                        valuation, valuation_unchecked)
+                   _trusted_task, generate_workload)
+from .costmodel import (deadline_eligibility, execution_time, price_and_sum,  # noqa: F401
+                        price_hosts, valuation, valuation_unchecked)
 from .errors import InputError, PlacementRejected, StateError
 from .rng import Rng, new_rng
 
@@ -32,6 +32,9 @@ from .rng import Rng, new_rng
 # order, then by task id. Capacity leaves before it is retaken: finishes and
 # releases resolve ahead of the starts scheduled for the same time.
 ARRIVAL, ROUND, FINISH, RELEASE, START = range(5)
+
+# one log line from (time, kind, task id, node id, container id, detail)
+_LINE = "%r,%s,%s,%s,%s,%s"
 
 
 @dataclass(frozen=True)
@@ -46,8 +49,8 @@ class SimEvent:
     detail: str = ""
 
     def line(self) -> str:
-        return (f"{self.time!r},{self.kind},{self.task_id},{self.node_id},"
-                f"{self.container_id},{self.detail}")
+        return _LINE % (self.time, self.kind, self.task_id, self.node_id,
+                        self.container_id, self.detail)
 
 
 def parse_event_line(line: str) -> SimEvent:
@@ -65,6 +68,19 @@ def _detail_map(detail: str) -> dict:
             key, val = chunk.split("=", 1)
             out[key] = val
     return out
+
+
+def left_sum(values) -> float:
+    """Add floats left to right, one rounding per step.
+
+    Python 3.12's sum() compensates float rounding and 3.10/3.11's does
+    not, so every float total that reaches an output is folded here to
+    give the same bytes on every supported version.
+    """
+    total = 0.0
+    for x in values:
+        total += x
+    return total
 
 
 def jain_fairness(counts) -> float:
@@ -125,8 +141,13 @@ def rank_bidders(task: Task, nodes, config: SimConfig) -> tuple:
     """
     sign = 1.0 if config.win_rule == "lowest" else -1.0
     hosts, eligible = price_hosts(task, nodes, config.weights, config.bid_margin, sign)
+    return hosts, _ranking(eligible)
+
+
+def _ranking(eligible) -> list:
+    # eligible entries start with (sign * ask, node id, position)
     eligible.sort()
-    return hosts, [(ask, node) for _, _, _, ask, node in eligible]
+    return [(ask, node) for _, _, _, ask, node in eligible]
 
 
 def first_taker(ranking, task: Task, strategy: str):
@@ -198,10 +219,41 @@ def _check_books(nodes, when: str):
             raise StateError(f"node {node.id}: capacity oversubscribed {when}")
 
 
+class _Records(list):
+    """The engine's raw log: one (time, kind, task id, node id, container
+    id, detail) tuple per event, formatted only if someone reads it."""
+
+    __slots__ = ()
+
+
+class _LogLines:
+    """`SimResult.log_lines`: a tuple of log lines, formatted on first read.
+
+    Given a tuple, the field holds it as is. Given the engine's raw
+    records, the first read formats them, keeps the lines, and drops the
+    records.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:  # no class-level default: the field stays required
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name]
+        if type(value) is _Records:
+            value = tuple(map(_LINE.__mod__, value))
+            obj.__dict__[self.name] = value
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class SimResult:
     metrics: MetricsRecord
-    log_lines: tuple
+    log_lines: tuple = _LogLines()
     tasks: tuple
     nodes: tuple
 
@@ -218,8 +270,9 @@ class _Engine:
         self.node_index = {n.id: i for i, n in enumerate(self.nodes)}
         self.tasks = {}
         self.state = SimState(config=config)
+        self.sign = 1.0 if config.win_rule == "lowest" else -1.0
         self.heap = []
-        self.log: list[SimEvent] = []
+        self.log = _Records()
         self.payments = {}
         self.retries = {}
         self.pending_exec = {}  # task id -> (node id, container id, cc, mem, created)
@@ -255,9 +308,7 @@ class _Engine:
     # -- event plumbing ----------------------------------------------------
 
     def _log(self, time, kind, task_id="", node_id="", container_id="", detail=""):
-        self.log.append(SimEvent(time=time, kind=kind, task_id=task_id,
-                                 node_id=node_id, container_id=container_id,
-                                 detail=detail))
+        self.log.append((time, kind, task_id, node_id, container_id, detail))
 
     def _cpu_change(self, node_id: str, delta: float, now: float):
         node = self.node_by_id[node_id]
@@ -289,12 +340,20 @@ class _Engine:
     def _fill_value(self, task: Task) -> Task:
         # the posted task value is the market's mean asking price for it;
         # the same pass ranks the bidders for all of the task's rounds
-        hosts, self.rankings[task.id] = rank_bidders(task, self.nodes, self.config)
-        asks = [ask for ask, _ in hosts]
-        if not asks:
-            asks = [valuation_unchecked(node, task, self.config.weights, self.config.bid_margin)
-                    for node in self.nodes]
-        valued = replace(task, value=sum(asks) / len(asks))
+        config = self.config
+        hosts, eligible, total = price_and_sum(task, self.nodes, config.weights,
+                                               config.bid_margin, self.sign)
+        self.rankings[task.id] = _ranking(eligible)
+        count = len(hosts)
+        if not count:
+            total = left_sum(valuation_unchecked(node, task, config.weights, config.bid_margin)
+                             for node in self.nodes)
+            count = len(self.nodes)
+        value = total / count
+        if math.isfinite(value):
+            valued = _trusted_task({**vars(task), "value": value})
+        else:  # the prices overflowed: let the validator reject the value
+            valued = replace(task, value=value)
         self.tasks[task.id] = valued
         return valued
 
@@ -447,8 +506,7 @@ class _Engine:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> SimResult:
-        workload = generate_workload(self.config, self.rng_workload)
-        for task in workload:
+        for task in generate_workload(self.config, self.rng_workload):
             self.tasks[task.id] = task
             heapq.heappush(self.heap, (task.arrival_time, ARRIVAL, task.id))
         handlers = (self._handle_arrival, self._handle_round, self._handle_exec_finish,
@@ -461,7 +519,7 @@ class _Engine:
             handlers[rank](time, task_id)
             self._check_invariants(time)
         _check_books(self.nodes, "at the end of the run")
-        return SimResult(metrics=self._metrics(), log_lines=tuple(e.line() for e in self.log),
+        return SimResult(metrics=self._metrics(), log_lines=self.log,
                          tasks=tuple(self.tasks.values()), nodes=tuple(self.nodes))
 
     def _metrics(self) -> MetricsRecord:
@@ -470,11 +528,16 @@ class _Engine:
         missed = sum(1 for _, m in self.finished.values() if m)
         completed = len(self.finished) - missed
         in_flight = self.arrived - len(self.finished) - len(self.failed)
-        outcomes = [AuctionOutcome(task_id=tid, winner=self.pending_exec[tid][0],
-                                   payment=self.payments[tid])
-                    for tid in self.finished]
-        profit = mn_profit(outcomes, self.tasks.values(), self.config.unit_price)
-        mean = sum(completions) / len(completions) if completions else 0.0
+        unit_price = self.config.unit_price
+        profit = 0.0
+        for tid in self.finished:  # the fold of mn_profit, in the same order
+            profit += mn_revenue(self.tasks[tid], unit_price) - self.payments[tid]
+        if not math.isfinite(profit):
+            # a payment may have overflowed: let the outcome validator reject it
+            for tid in self.finished:
+                AuctionOutcome(task_id=tid, winner=self.pending_exec[tid][0],
+                               payment=self.payments[tid])
+        mean = left_sum(completions) / len(completions) if completions else 0.0
         median = _percentile(completions, 0.5)
         p95 = _percentile(completions, 0.95)
         cpu_fracs = []
@@ -494,7 +557,7 @@ class _Engine:
             mn_profit=profit,
             per_node_tasks=tuple(self.per_node_tasks[n.id] for n in self.nodes),
             peak_memory_mb=tuple(self.peak_mem[n.id] for n in self.nodes),
-            mean_cpu_frac=sum(cpu_fracs) / len(cpu_fracs) if cpu_fracs else 0.0,
+            mean_cpu_frac=left_sum(cpu_fracs) / len(cpu_fracs) if cpu_fracs else 0.0,
         )
 
 

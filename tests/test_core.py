@@ -1,6 +1,10 @@
 """Domain type validation, config round trips, and workload generation."""
 
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aucrac.core import (AuctionOutcome, Bid, ExecutorConfig, MetricsRecord,
                          NodeTemplate, ResourceWeights, SimConfig, Task,
@@ -298,6 +302,42 @@ def test_workload_ids_are_unique_and_ordered():
 def test_empty_workload_when_no_devices():
     cfg = default_config(num_devices=0)
     assert generate_workload(cfg, new_rng(0)) == ()
+
+
+@st.composite
+def _workload_specs(draw):
+    # any valid spec: ordered positive ranges, a mix summing to 1
+    def span():
+        lo = draw(st.floats(min_value=1e-3, max_value=1e9))
+        return (lo, lo * draw(st.floats(min_value=1.0, max_value=1e3)))
+
+    cut_a, cut_b = sorted(draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
+                                        min_size=2, max_size=2)))
+    return WorkloadSpec(
+        arrival_rate_hz=draw(st.floats(min_value=1e-3, max_value=1e3)),
+        tasks_per_device=draw(st.integers(min_value=0, max_value=4)),
+        mix_lit=cut_a, mix_mit=cut_b - cut_a, mix_hit=1.0 - cut_b,
+        lit_cycles=span(), mit_cycles=span(), hit_cycles=span(), memory_mb=span(),
+        power_w=span(), data_in_mb=span(), data_out_mb=span(), deadline_s=span(),
+        td_max_s=span())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_workload_specs(), st.integers(min_value=1, max_value=8), st.integers(0, 2 ** 32))
+def test_generated_tasks_equal_validated_ones(spec, devices, seed):
+    # generation builds tasks without re-running Task's checks; each one
+    # must be exactly the task the validating constructor builds
+    cfg = default_config(num_devices=devices, workload=spec)
+    for task in generate_workload(cfg, new_rng(seed)):
+        validated = Task(**{f.name: getattr(task, f.name) for f in fields(Task)})
+        assert task == validated
+        assert repr(task) == repr(validated)
+
+
+def test_workload_rejects_an_arrival_clock_that_overflows():
+    spec = WorkloadSpec(arrival_rate_hz=5e-324)  # valid, but each gap overflows
+    with pytest.raises(ConstraintError, match="task.arrival_time"):
+        generate_workload(default_config(num_devices=1, workload=spec), new_rng(0))
 
 
 def test_node_template_rejects_nonpositive_cpu():

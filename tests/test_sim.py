@@ -9,11 +9,12 @@ import pytest
 import aucrac.containers as ct
 import aucrac.sim as sim
 from aucrac.auction import run_sealed_auction
-from aucrac.core import Bid, SimConfig, Task, WorkerNode, default_config, generate_workload
+from aucrac.core import (Bid, NodeTemplate, ResourceWeights, SimConfig, Task, WorkerNode,
+                         default_config, generate_workload)
 from aucrac.costmodel import deadline_eligibility, execution_time, valuation
-from aucrac.errors import InfeasibleError, InputError, StateError
+from aucrac.errors import ConstraintError, InfeasibleError, InputError, StateError
 from aucrac.rng import new_rng
-from aucrac.sim import (SimEvent, SimState, _percentile, assign, jain_fairness,
+from aucrac.sim import (SimEvent, SimState, _percentile, assign, jain_fairness, left_sum,
                         mn_profit, parse_event_line, run, run_task_auction,
                         utilization_series)
 from aucrac.core import AuctionOutcome
@@ -50,6 +51,13 @@ def test_mn_profit_frozen_value():
     assert mn_profit([outcome], [task], unit_price=0.5) == pytest.approx(3.0)
     skipped = AuctionOutcome(task_id="t0", winner=None, payment=0.0)
     assert mn_profit([skipped], [task], unit_price=0.5) == 0.0
+
+
+def test_left_sum_rounds_at_every_step():
+    # a compensated sum (Python 3.12+ sum(), math.fsum) gives 1.0 here
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert left_sum([]) == 0.0
+    assert left_sum(x for x in (0.1, 0.2, 0.3)) == (0.1 + 0.2) + 0.3
 
 
 def test_event_line_round_trip():
@@ -197,6 +205,28 @@ def test_runs_are_reproducible_and_seed_sensitive():
     assert a.metrics == b.metrics
     c = run(replace(cfg, seed=4))
     assert a.log_lines != c.log_lines
+
+
+def test_log_lines_are_formatted_once_from_the_engine_records():
+    engine = sim._Engine(default_config(num_devices=6, seed=3))
+    result = engine.run()
+    lines = result.log_lines
+    assert result.log_lines is lines  # formatted on the first read only
+    assert type(vars(result)["log_lines"]) is tuple  # the raw records are dropped
+    assert list(lines) == [SimEvent(*record).line() for record in engine.log]
+    assert lines == run(default_config(num_devices=6, seed=3)).log_lines
+
+
+def test_log_lines_given_as_a_tuple_are_kept_as_given():
+    result = run(default_config(num_devices=4, seed=1))
+    given = ("1.0,task_arrival,t00000,,,class=LIT",)
+    built = sim.SimResult(metrics=result.metrics, log_lines=given, tasks=result.tasks,
+                          nodes=result.nodes)
+    assert built.log_lines is given
+    assert replace(result, log_lines=given).log_lines is given
+    assert replace(built, tasks=()).log_lines is given
+    with pytest.raises(TypeError):
+        sim.SimResult(metrics=result.metrics, tasks=(), nodes=())  # no default log
 
 
 def test_zero_horizon_observes_nothing():
@@ -432,5 +462,33 @@ def test_reaping_follows_the_idle_ttl_boundary_of_reap_idle():
     # idle for exactly one TTL: reap_idle destroys it, so the engine must ask
     engine._reap(1.0 + ttl)
     assert node.container_pool == []
-    assert engine.log[-1].kind == "container_release"
-    assert engine.log[-1].detail.endswith("from=free;destroyed=1")
+    # a raw log record is (time, kind, task id, node id, container id, detail)
+    assert engine.log[-1][1] == "container_release"
+    assert engine.log[-1][5].endswith("from=free;destroyed=1")
+
+
+# --- posted values and payments -------------------------------------------
+
+@pytest.mark.parametrize("win_rule", ["lowest", "highest"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_the_valued_task_equals_a_validated_copy(win_rule, seed):
+    config = default_config(num_devices=20, seed=seed, win_rule=win_rule)
+    engine = sim._Engine(config)
+    for task in generate_workload(config, new_rng(seed)):
+        valued = engine._fill_value(task)
+        assert valued == replace(task, value=valued.value)
+        assert repr(valued) == repr(replace(task, value=valued.value))
+
+
+_OVERFLOWING_PRICES = dict(num_devices=2, weights=ResourceWeights(delta=1e300),
+                           node_templates=(NodeTemplate(unit_cost=1e300),))
+
+
+def test_an_overflowing_posted_value_is_rejected():
+    with pytest.raises(ConstraintError, match="task.value"):
+        run(default_config(strategy="aucrac", **_OVERFLOWING_PRICES))
+
+
+def test_an_overflowing_payment_is_rejected():
+    with pytest.raises(ConstraintError, match="outcome.payment"):
+        run(default_config(strategy="mct", **_OVERFLOWING_PRICES))
