@@ -127,11 +127,13 @@ def reap_idle(node: WorkerNode, now: float) -> list[Container]:
     return reaped
 
 
-def can_place(node: WorkerNode, task: Task) -> bool:
+def can_place(node: WorkerNode, task: Task, slice_: float | None = None) -> bool:
     """Whether a placement would go through right now, commit checks included.
 
     The answer does not depend on which fitting free container
     select_container would pick, so any fit answers it: nothing is sorted.
+    A caller that asks for one task on many nodes of one executor config
+    may pass `slice_for(node, task)` as `slice_` to compute it once.
     """
     memory, cycles, td_max = task.memory, task.cycles, task.td_max
     for c in node.container_pool:
@@ -142,7 +144,9 @@ def can_place(node: WorkerNode, task: Task) -> bool:
         return False
     if node.free_memory < memory + _placement_overhead(node):
         return False
-    return slice_for(node, task) <= node.free_compute
+    if slice_ is None:
+        slice_ = slice_for(node, task)
+    return slice_ <= node.free_compute
 
 
 def memory_footprint(node: WorkerNode, task_count: int, executor_mode: str) -> float:

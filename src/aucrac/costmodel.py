@@ -2,8 +2,9 @@
 
 All functions are pure. A node whose capacity is not strictly above the
 task demand in every dimension is infeasible and must not bid.
-`price_and_sum` is the engine's pass: it prices one task on many nodes
-with the same float operations as `valuation` and `deadline_eligibility`.
+`price_and_sum` prices one task on many nodes with the same float
+operations as `valuation` and `deadline_eligibility`; the engine, which
+prices once per node class, must reproduce its asks and total bit for bit.
 """
 
 from __future__ import annotations

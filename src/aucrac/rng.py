@@ -19,10 +19,6 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & MASK64
-
-
 class Rng:
     """xoshiro256** stream with convenience draw methods."""
 
@@ -33,19 +29,21 @@ class Rng:
         for _ in range(4):
             state, word = _splitmix64(state)
             words.append(word)
-        self._s = words
+        self._s = tuple(words)
 
     def next_u64(self) -> int:
         s0, s1, s2, s3 = self._s
-        out = (_rotl((s1 * 5) & MASK64, 7) * 9) & MASK64
+        # both 64-bit rotations are written out: this runs once per draw
+        x = (s1 * 5) & MASK64
+        out = ((((x << 7) | (x >> 57)) & MASK64) * 9) & MASK64
         t = (s1 << 17) & MASK64
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
+        s3 = ((s3 << 45) | (s3 >> 19)) & MASK64
+        self._s = (s0, s1, s2, s3)
         return out
 
     def random(self) -> float:

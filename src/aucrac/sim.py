@@ -9,22 +9,25 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 from . import containers as ct
-# The benchmark's tracer (perfbench/tracer.py) looks these names up on this
-# module when it installs and fails if one is missing: valuation,
-# valuation_unchecked, deadline_eligibility, execution_time,
-# run_sealed_auction, run_task_auction, assign, generate_workload and
-# new_rng. So they stay importable here even where the engine does not call
-# them: price_and_sum prices a task with the arithmetic of valuation and
-# deadline_eligibility, and rank_bidders reproduces run_sealed_auction's order.
+# Some names here are never called by the engine, which prices a task once
+# per node class. valuation, deadline_eligibility and run_sealed_auction are
+# imported only for the benchmark's tracer (perfbench/tracer.py), which looks
+# them up on this module when it installs and fails if one is missing; it
+# also wraps run_task_auction and assign. rank_bidders, first_taker and
+# run_task_auction (assign's auction branch) price every node through
+# price_hosts: the tests keep them as the per-node definition that the class
+# pricing must reproduce.
 from .auction import allocate_tasks_literal, mn_revenue, run_sealed_auction  # noqa: F401
 from .core import (AuctionOutcome, MetricsRecord, SimConfig, Task, WorkerNode,
                    _trusted_task, generate_workload)
-from .costmodel import (deadline_eligibility, execution_time, price_and_sum,  # noqa: F401
-                        price_hosts, valuation, valuation_unchecked)
+from .costmodel import (deadline_eligibility, execution_time, price_hosts,  # noqa: F401
+                        valuation, valuation_unchecked)
 from .errors import InputError, PlacementRejected, StateError
 from .rng import Rng, new_rng
 
@@ -141,13 +144,8 @@ def rank_bidders(task: Task, nodes, config: SimConfig) -> tuple:
     """
     sign = 1.0 if config.win_rule == "lowest" else -1.0
     hosts, eligible = price_hosts(task, nodes, config.weights, config.bid_margin, sign)
-    return hosts, _ranking(eligible)
-
-
-def _ranking(eligible) -> list:
-    # eligible entries start with (sign * ask, node id, position)
-    eligible.sort()
-    return [(ask, node) for _, _, _, ask, node in eligible]
+    eligible.sort()  # entries start with (sign * ask, node id, position)
+    return hosts, [(ask, node) for _, _, _, ask, node in eligible]
 
 
 def first_taker(ranking, task: Task, strategy: str):
@@ -258,19 +256,63 @@ class SimResult:
     nodes: tuple
 
 
+class _NodeClass:
+    """The nodes that share (cpu, memory, power, time_const, executor_mode).
+
+    They share every demand ratio, feasibility, deadline eligibility and
+    execution time, so a task is priced once per class. An ask is
+    `up * (unit_cost * delta * S)` with S fixed per class and task, so it
+    is monotone in `unit_cost * delta`: `members` holds (unit_cost * delta,
+    node id, node) sorted by (sign * unit_cost * delta, id, position), a
+    best-first order for every task. `open` holds, in that order, the
+    ranks of the members that hold a free container or at least one slice
+    granularity of free compute. Every slice is at least one granularity,
+    so a member missing from `open` cannot place any task.
+    """
+
+    __slots__ = ("head", "members", "open")
+
+    def __init__(self, head: WorkerNode, members: list, open_ranks: list):
+        self.head = head
+        self.members = members
+        self.open = open_ranks
+
+
+def _is_open(node: WorkerNode) -> bool:
+    if node.free_compute >= node.executor.slice_granularity:
+        return True
+    for c in node.container_pool:
+        if c.state == "free":
+            return True
+    return False
+
+
 class _Engine:
+    # Past 30 instance attributes CPython stops sharing the attribute key
+    # table between instances, and every `self.x` load in the event loop
+    # falls off its specialised fast path; slots keep them fixed-offset.
+    __slots__ = ("config", "rng_nodes", "rng_workload", "rng_dyn", "sign", "up", "nodes",
+                 "node_by_id", "node_index", "ucd", "classes", "slot", "node_class", "tasks",
+                 "state", "heap", "log", "payments", "retries", "pending_exec", "finished",
+                 "failed", "arrived", "per_node_tasks", "whole_mem", "peak_mem", "busy_cc",
+                 "cpu_acc", "cpu_last", "literal_bids", "last_time", "offers", "freed",
+                 "touched")
+
     def __init__(self, config: SimConfig):
         self.config = config
         base = new_rng(config.seed)
         self.rng_nodes = base.fork(1)
         self.rng_workload = base.fork(2)
         self.rng_dyn = base.fork(3)
+        self.sign = 1.0 if config.win_rule == "lowest" else -1.0
+        self.up = 1.0 + config.bid_margin
         self.nodes = self._build_nodes()
         self.node_by_id = {n.id: n for n in self.nodes}
         self.node_index = {n.id: i for i, n in enumerate(self.nodes)}
+        if config.strategy in ("aucrac", "auction_basic"):
+            self._index_classes()  # only the auctions price a task per node class
         self.tasks = {}
         self.state = SimState(config=config)
-        self.sign = 1.0 if config.win_rule == "lowest" else -1.0
         self.heap = []
         self.log = _Records()
         self.payments = {}
@@ -287,7 +329,7 @@ class _Engine:
         self.cpu_last = {n.id: 0.0 for n in self.nodes}
         self.literal_bids = None
         self.last_time = 0.0
-        self.rankings = {}      # task id -> bidder ranking, until assigned or failed
+        self.offers = {}        # task id -> its eligible classes, until assigned or failed
         self.freed = deque()    # (freed_at, node index) per container release, in time order
         self.touched = []       # nodes whose container books the current event changed
 
@@ -304,6 +346,31 @@ class _Engine:
                 executor_mode=t.executor_mode, executor=self.config.executor,
             ))
         return nodes
+
+    def _index_classes(self):
+        # node order is fixed for the run, so the classes, their member
+        # order and each node's place in it are built once
+        nodes = self.nodes
+        self.ucd = [n.unit_cost * self.config.weights.delta for n in nodes]  # by position
+        groups = {}
+        for i, n in enumerate(nodes):
+            key = (n.cpu, n.memory, n.power, n.time_const, n.executor_mode)
+            groups.setdefault(key, []).append(i)
+        sign = self.sign
+        ucd = self.ucd
+        self.classes = []
+        self.slot = {}               # node id -> [class, rank in the class, open flag]
+        self.node_class = [0] * len(nodes)  # class number per node position
+        for k, positions in enumerate(groups.values()):
+            positions.sort(key=lambda i: (sign * ucd[i], nodes[i].id, i))
+            flags = [_is_open(nodes[i]) for i in positions]
+            cls = _NodeClass(nodes[positions[0]],
+                             [(ucd[i], nodes[i].id, nodes[i]) for i in positions],
+                             [r for r, flag in enumerate(flags) if flag])
+            self.classes.append(cls)
+            for r, i in enumerate(positions):
+                self.slot[nodes[i].id] = [cls, r, flags[r]]
+                self.node_class[i] = k
 
     # -- event plumbing ----------------------------------------------------
 
@@ -324,6 +391,21 @@ class _Engine:
         if live > self.peak_mem[node_id]:
             self.peak_mem[node_id] = live
 
+    def _touch(self, node: WorkerNode):
+        # a container create, reuse, release or reap changed the node's
+        # books: queue it for the books check and update its open state
+        self.touched.append(node)
+        slot = self.slot[node.id]
+        is_open = _is_open(node)
+        if is_open != slot[2]:
+            slot[2] = is_open
+            ranks = slot[0].open
+            j = bisect_left(ranks, slot[1])
+            if is_open:
+                ranks.insert(j, slot[1])
+            else:
+                del ranks[j]
+
     def _check_invariants(self, now: float):
         # only a container create, reuse, release or reap changes a node's
         # books, so each event checks the nodes it touched; run() scans all
@@ -339,14 +421,44 @@ class _Engine:
 
     def _fill_value(self, task: Task) -> Task:
         # the posted task value is the market's mean asking price for it;
-        # the same pass ranks the bidders for all of the task's rounds
+        # the same pass finds the classes that bid in the task's rounds
         config = self.config
-        hosts, eligible, total = price_and_sum(task, self.nodes, config.weights,
-                                               config.bid_margin, self.sign)
-        self.rankings[task.id] = _ranking(eligible)
-        count = len(hosts)
-        if not count:
-            total = left_sum(valuation_unchecked(node, task, config.weights, config.bid_margin)
+        weights = config.weights
+        up = self.up
+        l1 = weights.lambda1
+        a1l2 = weights.alpha1 * weights.lambda2
+        a2l3 = weights.alpha2 * weights.lambda3
+        cycles, memory, power, deadline = task.cycles, task.memory, task.power, task.deadline
+        sign = self.sign
+        offers = []
+        per_class = []  # S per class, None where the class cannot host the task
+        count = 0
+        for cls in self.classes:
+            node = cls.head
+            cpu = node.cpu
+            re_ = cycles / cpu
+            rm = memory / node.memory
+            rp = power / node.power
+            if re_ >= 1.0 or rm >= 1.0 or rp >= 1.0:
+                per_class.append(None)
+                continue
+            s = l1 * re_ + a1l2 * rm + a2l3 * rp
+            per_class.append(s)
+            count += len(cls.members)
+            if deadline - node.time_const * cycles / cpu > 0.0:
+                offers.append((sign * (up * (cls.members[0][0] * s)), cls, s))
+        # (sign * cheapest ask, class, S), cheapest first: a round stops at
+        # the first class whose cheapest ask is past the best taker found
+        offers.sort(key=itemgetter(0))
+        self.offers[task.id] = offers
+        if count:
+            # each ask as valuation computes it, added left to right in node order
+            total = 0.0
+            for u, s in zip(self.ucd, map(per_class.__getitem__, self.node_class)):
+                if s is not None:
+                    total += up * (u * s)
+        else:
+            total = left_sum(valuation_unchecked(node, task, weights, config.bid_margin)
                              for node in self.nodes)
             count = len(self.nodes)
         value = total / count
@@ -356,6 +468,45 @@ class _Engine:
             valued = replace(task, value=value)
         self.tasks[task.id] = valued
         return valued
+
+    def _take(self, task: Task):
+        """The (ask, node) a round gives the task to, or None.
+
+        The same pick as `first_taker(rank_bidders(...)[1], task, strategy)`:
+        the best (sign * ask, node id) among the eligible nodes, which
+        under the container-aware strategy must also be able to place the
+        task now. The eligible classes come cheapest head first, and each
+        is walked in its member order, over its open members only under
+        the container-aware strategy, until its ask passes the best found
+        so far: sign * ask never falls along a class. Node ids are unique.
+        """
+        up = self.up
+        sign = self.sign
+        aucrac = self.config.strategy == "aucrac"
+        slice_ = None
+        best = None
+        best_key = best_id = None
+        for head_key, cls, s in self.offers[task.id]:
+            if best is not None and head_key > best_key:
+                break
+            members = cls.members
+            for r in (cls.open if aucrac else range(len(members))):
+                u, node_id, node = members[r]
+                ask = up * (u * s)
+                key = sign * ask
+                if best is not None:
+                    if key > best_key:
+                        break
+                    if key == best_key and node_id > best_id:
+                        continue
+                if aucrac:
+                    if slice_ is None:
+                        # it depends only on the task and the run's shared granularity
+                        slice_ = ct.slice_for(node, task)
+                    if not ct.can_place(node, task, slice_):
+                        continue
+                best, best_key, best_id = (ask, node), key, node_id
+        return best
 
     def _handle_arrival(self, now: float, task_id: str):
         self.arrived += 1
@@ -370,7 +521,7 @@ class _Engine:
         self.retries[task.id] = count
         if count > self.config.executor.max_requeues:
             self.failed.add(task.id)
-            del self.rankings[task.id]
+            del self.offers[task.id]
             self._log(now, "auction_round", task_id=task.id, detail="result=failed_to_place")
         else:
             self._log(now, "auction_round", task_id=task.id, detail=f"result=retry;attempt={count}")
@@ -403,7 +554,7 @@ class _Engine:
         self.pending_exec[task.id] = (node.id, container.id, container.compute,
                                       container.memory, created)
         self._touch_mem(node.id)
-        self.touched.append(node)
+        self._touch(node)
         return now, now + task.cycles / container.compute
 
     def _reap(self, now: float):
@@ -418,7 +569,7 @@ class _Engine:
             node = self.nodes[i]
             reaped = ct.reap_idle(node, now)
             if reaped:
-                self.touched.append(node)
+                self._touch(node)
             for gone in reaped:
                 self._log(now, "container_release", node_id=node.id, container_id=gone.id,
                           detail=f"cc={gone.compute!r};mem={gone.memory!r};from=free;destroyed=1")
@@ -447,7 +598,7 @@ class _Engine:
         elif self.config.auction_mode == "literal":
             node, payment = self._literal_round(task)
         else:
-            pick = first_taker(self.rankings[task_id], task, strategy)
+            pick = self._take(task)
             if pick is None:
                 self._retry(now, task)
                 return
@@ -458,7 +609,7 @@ class _Engine:
             self._retry(now, task)
             return
         if auction:
-            del self.rankings[task_id]
+            del self.offers[task_id]
         self.payments[task_id] = payment
         heapq.heappush(self.heap, (span[0], START, task_id))
         heapq.heappush(self.heap, (span[1], FINISH, task_id))
@@ -497,7 +648,7 @@ class _Engine:
         node = self.node_by_id[node_id]
         ct.release_container(node, container_id, now)
         self.freed.append((now, self.node_index[node_id]))
-        self.touched.append(node)
+        self._touch(node)
         self._cpu_change(node_id, -cc, now)
         self._log(now, "container_release", task_id=task_id, node_id=node_id,
                   container_id=container_id,

@@ -217,8 +217,7 @@ def test_one_pass_pricing_equals_the_per_node_definition(market):
                    task.power / node.power) < 1.0
     config = default_config(weights=weights, bid_margin=margin, win_rule=win_rule)
     assert rank_bidders(task, nodes, config) == (want_hosts, want_ranking)
-    engine = _Engine(config)
-    engine.nodes = nodes
+    engine = type("GivenNodes", (_Engine,), {"_build_nodes": lambda self: nodes})(config)
     assert engine._fill_value(task).value == want_mean
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from aucrac import default_config, run
 from aucrac.cli import ExperimentSpec, run_experiment
-from aucrac.core import STRATEGIES
+from aucrac.core import STRATEGIES, NodeTemplate
 
 CASES = {f"{s}/seed={seed}": dict(strategy=s, seed=seed)
          for s in STRATEGIES for seed in (0, 1)}
@@ -25,8 +25,30 @@ CASES.update({
 })
 # large enough to show retries, failed placements and idle reaps
 CASES["aucrac/300x20"] = dict(strategy="aucrac", num_devices=300, num_workers=20)
+# the cases below were recorded while every node was still priced per task,
+# before the engine priced once per node class; past wn999 the string order
+# of node ids no longer follows node order
+CASES["aucrac/200x1200"] = dict(strategy="aucrac", num_devices=200, num_workers=1200)
+CASES["auction_basic/200x1000"] = dict(strategy="auction_basic", num_devices=200,
+                                       num_workers=1000)
+# every node of one template, and one template per node with a shared unit cost
+CASES["aucrac/one_template"] = dict(
+    strategy="aucrac", num_devices=300, num_workers=20,
+    node_templates=(NodeTemplate(cpu=5e9, memory_mb=8192.0, power_w=200.0),))
+CASES["aucrac/template_per_node"] = dict(
+    strategy="aucrac", num_devices=300, num_workers=12,
+    node_templates=tuple(NodeTemplate(cpu=2e9 + i * 1e9, memory_mb=4096.0 + 512.0 * i,
+                                      power_w=100.0 + 10 * i) for i in range(12)))
 
 DIGESTS = {
+    "aucrac/200x1200":
+        "08ae67a1f476ae05a81e1628fadfb39d1b468c6a38f1af0b32acae369ddcfb2e",
+    "aucrac/one_template":
+        "a3bb9482b8b7f44a4e041463ecf201996cd5fe1b08bd4cee6991ef38be0dd9ee",
+    "aucrac/template_per_node":
+        "7d3b26682a6eff7e015dad100a62bf632ad2342e726ada9cf9c09f1a91b8ea39",
+    "auction_basic/200x1000":
+        "32519682447546ef63212c511992ec2540dbdd1e9aeba1f620f4afed033d469a",
     "aucrac/300x20":
         "72fb9486c7681ac84fb3b740d4ae5c94ff0fcb19cdcefc08031ea671ce4444a9",
     "aucrac/auction_mode=literal":

@@ -5,18 +5,22 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aucrac.containers as ct
 import aucrac.sim as sim
 from aucrac.auction import run_sealed_auction
 from aucrac.core import (Bid, NodeTemplate, ResourceWeights, SimConfig, Task, WorkerNode,
                          default_config, generate_workload)
-from aucrac.costmodel import deadline_eligibility, execution_time, valuation
-from aucrac.errors import ConstraintError, InfeasibleError, InputError, StateError
+from aucrac.costmodel import (deadline_eligibility, execution_time, price_and_sum, valuation,
+                              valuation_unchecked)
+from aucrac.errors import (ConstraintError, InfeasibleError, InputError, PlacementRejected,
+                           StateError)
 from aucrac.rng import new_rng
 from aucrac.sim import (SimEvent, SimState, _percentile, assign, jain_fairness, left_sum,
-                        mn_profit, parse_event_line, run, run_task_auction,
-                        utilization_series)
+                        first_taker, mn_profit, parse_event_line, rank_bidders, run,
+                        run_task_auction, utilization_series)
 from aucrac.core import AuctionOutcome
 
 
@@ -363,6 +367,118 @@ def test_ranked_auction_picks_the_sealed_bid_winner(strategy, win_rule):
             seen.add(want.winner)
     assert {None, "wn004"} <= seen
     assert ("nobody bid" in seen) == (strategy == "aucrac")
+
+
+# --- per-class pricing against the per-node definition --------------------
+
+def _engine_over(nodes, config):
+    # an engine whose class index is built over the given nodes
+    return type("GivenNodes", (sim._Engine,), {"_build_nodes": lambda self: nodes})(config)
+
+
+def _open_ranks(cls):
+    # the definition: a free container, or room for the smallest slice
+    return [r for r, (_, _, node) in enumerate(cls.members)
+            if any(c.state == "free" for c in node.container_pool)
+            or node.free_compute >= node.executor.slice_granularity]
+
+
+@st.composite
+def _class_market(draw):
+    """A config, its nodes and tasks. The templates are one for all nodes,
+    one per node, or a few with repeats. Templates draw their capacities
+    from a pool of at most three and differ in time_const, and unit costs
+    come from a pool of at most three, so that asks tie both inside a
+    class and across classes. Some nodes hold a partly filled pool of
+    busy and free containers."""
+    win_rule = draw(st.sampled_from(["lowest", "highest"]))
+    config = default_config(win_rule=win_rule, bid_margin=draw(st.sampled_from([0.0, 0.1, 2.5])))
+    n = draw(st.sampled_from([2, 9, 1100]) | st.integers(2, 40))
+    rnd = draw(st.randoms(use_true_random=False))
+    kinds = draw(st.sampled_from(["one", "per_node", "few"]))
+    count = {"one": 1, "per_node": n, "few": rnd.randint(2, 6)}[kinds]
+    capacities = [(rnd.choice([1e9, 2e9, 5e9, 1.2e10]), rnd.choice([300.0, 4096.0, 16384.0]),
+                   rnd.choice([8.0, 200.0])) for _ in range(rnd.randint(1, 3))]
+    templates = [(*rnd.choice(capacities), rnd.choice([0.5, 5.0]) * (1 + i * 1e-4))
+                 for i in range(count)]
+    if kinds == "few":
+        templates += rnd.sample(templates, rnd.randint(0, len(templates)))  # repeats
+    costs = [rnd.choice([0.7, 1.0, 1.3]) for _ in range(rnd.randint(1, 3))]
+    ids = [f"wn{i:03d}" for i in range(n)]
+    rnd.shuffle(ids)
+    nodes = []
+    for i, node_id in enumerate(ids):
+        cpu, memory, power, time_const = templates[i % len(templates)]
+        node = WorkerNode(id=node_id, cpu=cpu, memory=memory, power=power,
+                          unit_cost=rnd.choice(costs), time_const=time_const,
+                          executor=config.executor)
+        for _ in range(rnd.choice([0, 0, 1, 3])):
+            filler = Task(id="f", data_in=1.0, data_out=0.5, cycles=rnd.uniform(1e8, 2e10),
+                          memory=rnd.uniform(10.0, 2000.0), power=1.0, deadline=10.0,
+                          td_max=rnd.uniform(2.0, 4.0))
+            try:
+                container = ct.create_container(node, filler)
+            except PlacementRejected:
+                continue
+            if rnd.random() < 0.5:
+                ct.release_container(node, container.id)
+        nodes.append(node)
+    tasks = generate_workload(replace(config, num_devices=3), new_rng(rnd.randint(0, 99)))
+    return config, nodes, tasks
+
+
+@settings(max_examples=60, deadline=None)
+@given(_class_market())
+def test_class_pricing_equals_the_per_node_ranking(market):
+    config, nodes, tasks = market
+    for strategy in ("aucrac", "auction_basic"):
+        config = replace(config, strategy=strategy)
+        engine = _engine_over(nodes, config)
+        for cls in engine.classes:
+            assert cls.open == _open_ranks(cls)
+        for task in tasks:
+            hosts, _, total = price_and_sum(task, nodes, config.weights, config.bid_margin,
+                                            engine.sign)
+            if not hosts:
+                total = left_sum(valuation_unchecked(node, task, config.weights,
+                                                     config.bid_margin) for node in nodes)
+            assert engine._fill_value(task).value == total / (len(hosts) or len(nodes))
+            want = first_taker(rank_bidders(task, nodes, config)[1], task, strategy)
+            assert engine._take(task) == want
+
+
+class _CheckedEngine(sim._Engine):
+    """Checks every open list after every event, and each round's pick
+    against the per-node ranking of the same moment."""
+
+    def _check_invariants(self, now):
+        super()._check_invariants(now)
+        for cls in self.classes:
+            assert cls.open == _open_ranks(cls)
+            self.seen["closed"] += len(cls.members) - len(cls.open)
+
+    def _take(self, task):
+        got = super()._take(task)
+        ranking = rank_bidders(task, self.nodes, self.config)[1]
+        assert got == first_taker(ranking, task, self.config.strategy)
+        self.seen["taken" if got else "retried"] += 1
+        return got
+
+
+@pytest.mark.parametrize("templates", ["default", "one_per_node"])
+@pytest.mark.parametrize("win_rule", ["lowest", "highest"])
+def test_open_lists_follow_the_books_through_a_run(win_rule, templates):
+    config = default_config(num_devices=300, num_workers=20, win_rule=win_rule)
+    if templates == "one_per_node":
+        config = replace(config, node_templates=tuple(
+            NodeTemplate(cpu=2e9 + i * 5e8, memory_mb=4096.0, power_w=100.0)
+            for i in range(20)))
+    engine = _CheckedEngine(config)
+    engine.seen = {"closed": 0, "taken": 0, "retried": 0}
+    result = engine.run()
+    assert result.log_lines == run(config).log_lines
+    # some nodes were closed, and rounds both placed and retried
+    assert min(engine.seen.values()) > 0
 
 
 # --- the event heap -------------------------------------------------------
