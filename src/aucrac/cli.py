@@ -215,8 +215,12 @@ def emit_plot_data(results_csv: str, figure: str, out_dir: str | None = None) ->
     if figure == "completion_vs_devices":
         series = {}
         for r in rows:
-            key = (r["strategy"], float(r["sweep_value"]))
-            series.setdefault(key, []).append(float(r["mean_completion_s"]))
+            try:
+                x = float(r["sweep_value"])
+            except ValueError:
+                raise InputError(f"figure {figure} needs a numeric sweep, got "
+                                 f"{r['sweep_var']}={r['sweep_value']}") from None
+            series.setdefault((r["strategy"], x), []).append(float(r["mean_completion_s"]))
         strategies = sorted({s for s, _ in series}, key=lambda s: (STRATEGIES.index(s)
                             if s in STRATEGIES else len(STRATEGIES), s))
         for strategy in strategies:

@@ -49,20 +49,18 @@ def slice_for(node: WorkerNode, task: Task) -> float:
 
 
 def select_container(node: WorkerNode, task: Task) -> ContainerDecision:
-    """Best-fit scan of the free pool, then a create check, else requeue.
+    """Best fit from the free pool, then a create check, else requeue.
 
-    Free containers are scanned in ascending (compute, memory, id) order;
-    the first with strictly more memory than the task needs and an
-    execution time strictly under td_max is reused.
+    Of the free containers with strictly more memory than the task needs
+    and an execution time strictly under td_max, the least in
+    (compute, memory, id) order is reused.
     """
-    free = sorted(
-        (c for c in node.container_pool if c.state == "free"),
-        key=lambda c: (c.compute, c.memory, c.id),
-    )
-    for c in free:
-        if c.memory > task.memory and task.cycles / c.compute < task.td_max:
-            return ContainerDecision(action="reuse", container_id=c.id,
-                                     predicted_time=task.cycles / c.compute)
+    fits = [c for c in node.container_pool if c.state == "free"
+            and c.memory > task.memory and task.cycles / c.compute < task.td_max]
+    if fits:
+        c = min(fits, key=lambda c: (c.compute, c.memory, c.id))
+        return ContainerDecision(action="reuse", container_id=c.id,
+                                 predicted_time=task.cycles / c.compute)
     if node.free_memory > task.memory and task.cycles / node.cpu < task.td_max:
         return ContainerDecision(action="create", container_id=None,
                                  predicted_time=task.cycles / node.cpu)

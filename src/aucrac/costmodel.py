@@ -2,9 +2,8 @@
 
 All functions are pure. A node whose capacity is not strictly above the
 task demand in every dimension is infeasible and must not bid.
-`price_and_sum` prices one task on many nodes with the same float
-operations as `valuation` and `deadline_eligibility`; the engine, which
-prices once per node class, must reproduce its asks and total bit for bit.
+`valuation` and `deadline_eligibility` define a bid; the engine, which
+prices once per node class, reproduces them bit for bit.
 """
 
 from __future__ import annotations
@@ -61,49 +60,3 @@ def valuation_unchecked(node: WorkerNode, task: Task, weights: ResourceWeights,
     if margin < 0:
         raise InputError(f"margin must be non-negative, got {margin!r}")
     return (1.0 + margin) * execution_cost_unchecked(node, task, weights)
-
-
-def price_hosts(task: Task, nodes, weights: ResourceWeights, margin: float,
-                sign: float) -> tuple:
-    """`price_and_sum` without the total: return (hosts, eligible)."""
-    hosts, eligible, _ = price_and_sum(task, nodes, weights, margin, sign)
-    return hosts, eligible
-
-
-def price_and_sum(task: Task, nodes, weights: ResourceWeights, margin: float,
-                  sign: float) -> tuple:
-    """Price the task on every node in one pass; return (hosts, eligible, total).
-
-    `hosts` holds (ask, node) for each node whose capacity strictly
-    dominates the task demand, in node order; each ask equals
-    `valuation(node, task, weights, margin)` bit for bit. `eligible`
-    holds (sign * ask, node id, position, ask, node) for the hosts with
-    `deadline_eligibility` 1, so that sorting it needs no key function;
-    the position settles a tie of ask and id, so a sort never compares
-    two nodes. `total` is the hosts' asks added left to right in node
-    order.
-    """
-    if margin < 0:
-        raise InputError(f"margin must be non-negative, got {margin!r}")
-    up = 1.0 + margin
-    delta = weights.delta
-    l1 = weights.lambda1
-    a1l2 = weights.alpha1 * weights.lambda2
-    a2l3 = weights.alpha2 * weights.lambda3
-    cycles, memory, power, deadline = task.cycles, task.memory, task.power, task.deadline
-    hosts = []
-    eligible = []
-    total = 0.0
-    for i, node in enumerate(nodes):
-        cpu = node.cpu
-        re_ = cycles / cpu
-        rm = memory / node.memory
-        rp = power / node.power
-        if re_ >= 1.0 or rm >= 1.0 or rp >= 1.0:
-            continue
-        ask = up * (node.unit_cost * delta * (l1 * re_ + a1l2 * rm + a2l3 * rp))
-        hosts.append((ask, node))
-        total += ask
-        if deadline - node.time_const * cycles / cpu > 0.0:
-            eligible.append((sign * ask, node.id, i, ask, node))
-    return hosts, eligible, total

@@ -15,20 +15,11 @@ from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
 from . import containers as ct
-# Some names here are never called by the engine, which prices a task once
-# per node class. valuation, deadline_eligibility and run_sealed_auction are
-# imported only for the benchmark's tracer (perfbench/tracer.py), which looks
-# them up on this module when it installs and fails if one is missing; it
-# also wraps run_task_auction and assign. rank_bidders, first_taker and
-# run_task_auction (assign's auction branch) price every node through
-# price_hosts: the tests keep them as the per-node definition that the class
-# pricing must reproduce.
-from .auction import allocate_tasks_literal, mn_revenue, run_sealed_auction  # noqa: F401
-from .core import (AuctionOutcome, MetricsRecord, SimConfig, Task, WorkerNode,
+from .auction import allocate_tasks_literal, mn_revenue, run_sealed_auction
+from .core import (AuctionOutcome, Bid, MetricsRecord, SimConfig, Task, WorkerNode,
                    _trusted_task, generate_workload)
-from .costmodel import (deadline_eligibility, execution_time, price_hosts,  # noqa: F401
-                        valuation, valuation_unchecked)
-from .errors import InputError, PlacementRejected, StateError
+from .costmodel import deadline_eligibility, execution_time, valuation, valuation_unchecked
+from .errors import InfeasibleError, InputError, PlacementRejected, StateError
 from .rng import Rng, new_rng
 
 # A heap entry is (time, rank, task id); at one instant events run in rank
@@ -131,55 +122,30 @@ class SimState:
     available_at: dict = field(default_factory=dict)
 
 
-def rank_bidders(task: Task, nodes, config: SimConfig) -> tuple:
-    """Price the task on every node once; return (hosts, ranking).
-
-    `hosts` holds (ask, node) for each node whose capacity strictly
-    dominates the task demand, in node order. `ranking` holds the hosts
-    that also finish inside the deadline, best first under the win rule
-    and ties to the smaller node id: the order in which
-    run_sealed_auction resolves bids that share a submit time. An ask and
-    its eligibility depend only on the task and the node's fixed
-    capacities, so one ranking serves every round of the task.
-    """
-    sign = 1.0 if config.win_rule == "lowest" else -1.0
-    hosts, eligible = price_hosts(task, nodes, config.weights, config.bid_margin, sign)
-    eligible.sort()  # entries start with (sign * ask, node id, position)
-    return hosts, [(ask, node) for _, _, _, ask, node in eligible]
-
-
-def first_taker(ranking, task: Task, strategy: str):
-    """The first (ask, node) of the ranking that takes the task now, or None.
-
-    A whole-node auction takes the head, since its winner queues the
-    task. The container-aware strategy walks on to the first node that
-    can place the task right now.
-    """
-    if strategy != "aucrac":
-        return ranking[0] if ranking else None
-    for ask, node in ranking:
-        if ct.can_place(node, task):
-            return ask, node
-    return None
-
-
 def run_task_auction(task: Task, nodes, config: SimConfig, now: float) -> AuctionOutcome | None:
     """Collect sealed bids for one task and resolve them.
 
-    Nodes whose capacity does not strictly dominate the task demand do
-    not bid. Under the container-aware strategy, nodes that could not
-    place the task right now also abstain. Returns None when nobody bid,
-    and an outcome without a winner when every bidder misses the
-    deadline. All bids of a round are submitted at `now`, so the time
-    never breaks a tie.
+    The definition of an auction round, which the engine's per-class
+    pricing reproduces. Nodes whose capacity does not strictly dominate
+    the task demand do not bid. Under the container-aware strategy, nodes
+    that could not place the task right now also abstain. Returns None
+    when nobody bid, and an outcome without a winner when every bidder
+    misses the deadline. All bids of a round are submitted at `now`, so
+    the time never breaks a tie.
     """
-    hosts, ranking = rank_bidders(task, nodes, config)
-    pick = first_taker(ranking, task, config.strategy)
-    if pick is not None:
-        return AuctionOutcome(task_id=task.id, winner=pick[1].id, payment=pick[0])
-    if first_taker(hosts, task, config.strategy) is None:
+    bids = []
+    for node in nodes:
+        try:
+            amount = valuation(node, task, config.weights, config.bid_margin)
+        except InfeasibleError:
+            continue
+        if config.strategy == "aucrac" and not ct.can_place(node, task):
+            continue
+        bids.append(Bid(node_id=node.id, task_id=task.id, amount=amount, submit_time=now,
+                        eligible=deadline_eligibility(node, task)))
+    if not bids:
         return None
-    return AuctionOutcome(task_id=task.id, winner=None, payment=0.0)
+    return run_sealed_auction(task, bids, config.win_rule)
 
 
 def assign(strategy: str, task: Task, nodes, rng: Rng, state: SimState) -> str | None:
@@ -472,13 +438,13 @@ class _Engine:
     def _take(self, task: Task):
         """The (ask, node) a round gives the task to, or None.
 
-        The same pick as `first_taker(rank_bidders(...)[1], task, strategy)`:
-        the best (sign * ask, node id) among the eligible nodes, which
-        under the container-aware strategy must also be able to place the
-        task now. The eligible classes come cheapest head first, and each
-        is walked in its member order, over its open members only under
-        the container-aware strategy, until its ask passes the best found
-        so far: sign * ask never falls along a class. Node ids are unique.
+        The winner and payment of `run_task_auction`: the best (sign * ask,
+        node id) among the eligible nodes, which under the container-aware
+        strategy must also be able to place the task now. The eligible
+        classes come cheapest head first, and each is walked in its member
+        order, over its open members only under the container-aware
+        strategy, until its ask passes the best found so far: sign * ask
+        never falls along a class. Node ids are unique.
         """
         up = self.up
         sign = self.sign

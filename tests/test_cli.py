@@ -5,10 +5,10 @@ import os
 
 import pytest
 
-from aucrac.cli import (EXIT_CONSTRAINT, EXIT_ENUM, EXIT_IO, EXIT_OK,
-                        EXIT_SCHEMA, RESULTS_HEADER, ExperimentSpec,
-                        _configs_for, _parse_seeds, _parse_sweep,
-                        emit_plot_data, load_config, main, run_experiment)
+from aucrac.cli import (EXIT_CONSTRAINT, EXIT_ENUM, EXIT_IO, EXIT_OK, EXIT_RUNTIME,
+                        EXIT_SCHEMA, RESULTS_HEADER, ExperimentSpec, _configs_for,
+                        _parse_seeds, _parse_sweep, emit_plot_data, load_config, main,
+                        run_experiment)
 from aucrac.core import default_config
 from aucrac.errors import (ConstraintError, InputError, SchemaError,
                            UnknownEnumError)
@@ -215,6 +215,16 @@ def test_main_emits_requested_plots(tmp_path):
     assert code == EXIT_OK
     assert os.path.exists(out / "fairness_table.csv")
     assert os.path.exists(out / "memory_vs_tasks__vm.csv")
+
+
+def test_main_rejects_the_completion_figure_over_a_strategy_sweep(tmp_path, capsys):
+    path = _write_config(tmp_path, {"num_devices": 2, "num_workers": 2})
+    code = main(["--config", path, "--sweep", "strategy=aucrac,mct", "--seeds", "0..1",
+                 "--out", str(tmp_path / "out"), "--emit-plots", "all"])
+    assert code == EXIT_RUNTIME
+    # one line naming the figure and the sweep variable, not a traceback
+    assert ("runtime error: figure completion_vs_devices needs a numeric sweep, "
+            "got strategy=aucrac\n") in capsys.readouterr().err
 
 
 def test_main_missing_config_file_is_io_error(tmp_path):

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from aucrac.core import ResourceWeights, Task, WorkerNode, default_config
 from aucrac.costmodel import (deadline_eligibility, execution_cost,
                               execution_cost_unchecked, execution_time,
-                              price_hosts, valuation, valuation_unchecked)
+                              valuation, valuation_unchecked)
 from aucrac.errors import InfeasibleError, InputError
 from aucrac.rng import new_rng
-from aucrac.sim import _Engine, rank_bidders
+from aucrac.sim import _Engine, left_sum, run_task_auction
 
 
 def _node(cpu=2.0, memory=3.0, power=4.0, unit_cost=1.0, time_const=5.0):
@@ -186,7 +186,9 @@ def _market(draw):
 
 
 def _reference(nodes, task, weights, margin, win_rule):
-    # the per-node definition: valuation, deadline_eligibility, a keyed stable sort
+    # the per-node definition: the hosts that meet the deadline, best
+    # valuation first and ties to the smaller id, and the posted value,
+    # folded left to right as the engine must
     hosts = []
     for node in nodes:
         try:
@@ -198,27 +200,32 @@ def _reference(nodes, task, weights, margin, win_rule):
                      key=lambda h: (sign * h[0], h[1].id))
     asks = [ask for ask, _ in hosts] or [valuation_unchecked(n, task, weights, margin)
                                          for n in nodes]
-    return hosts, ranking, sum(asks) / len(asks)
+    return ranking, left_sum(asks) / len(asks)
+
+
+def _given_nodes(nodes, config):
+    # an engine whose class index is built over the given nodes
+    return type("GivenNodes", (_Engine,), {"_build_nodes": lambda self: nodes})(config)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_market())
 def test_one_pass_pricing_equals_the_per_node_definition(market):
     nodes, task, weights, margin, win_rule = market
-    want_hosts, want_ranking, want_mean = _reference(nodes, task, weights, margin, win_rule)
-    sign = 1.0 if win_rule == "lowest" else -1.0
-    hosts, eligible = price_hosts(task, nodes, weights, margin, sign)
-    assert hosts == want_hosts  # same asks, bit for bit, in node order
-    assert all(ask == host_ask and node is host_node
-               for (_, _, _, ask, node), (host_ask, host_node)
-               in zip(eligible, [h for h in hosts if deadline_eligibility(h[1], task)]))
-    for ask, node in hosts:
-        assert max(task.cycles / node.cpu, task.memory / node.memory,
-                   task.power / node.power) < 1.0
-    config = default_config(weights=weights, bid_margin=margin, win_rule=win_rule)
-    assert rank_bidders(task, nodes, config) == (want_hosts, want_ranking)
-    engine = type("GivenNodes", (_Engine,), {"_build_nodes": lambda self: nodes})(config)
+    want_ranking, want_mean = _reference(nodes, task, weights, margin, win_rule)
+    config = default_config(weights=weights, bid_margin=margin, win_rule=win_rule,
+                            strategy="auction_basic")
+    engine = _given_nodes(nodes, config)
     assert engine._fill_value(task).value == want_mean
+    got = engine._take(task)
+    outcome = run_task_auction(task, nodes, config, 0.0)
+    # a twin may share its id, so a pick is compared by (ask, id)
+    if want_ranking:
+        ask, node = want_ranking[0]
+        assert (got[0], got[1].id) == (ask, node.id) == (outcome.payment, outcome.winner)
+    else:
+        assert got is None
+        assert outcome is None or outcome.winner is None
 
 
 def test_one_pass_pricing_excludes_a_ratio_of_one_and_a_deadline_met_exactly():
@@ -231,8 +238,15 @@ def test_one_pass_pricing_excludes_a_ratio_of_one_and_a_deadline_met_exactly():
     inside = WorkerNode(id="c", cpu=4e9, memory=10.0, power=10.0, unit_cost=1.0,
                         time_const=1.0)
     assert execution_time(exact, task) == task.deadline
-    hosts, eligible = price_hosts(task, [at_capacity, exact, inside], w, 0.1, 1.0)
-    assert [node.id for _, node in hosts] == ["b", "c"]
-    assert [e[1] for e in eligible] == ["c"]
-    with pytest.raises(InputError):
-        price_hosts(task, [inside], w, -0.1, 1.0)
+    nodes = [at_capacity, exact, inside]
+    # under the highest-ask rule b outbids c, so only its ineligibility lets c win
+    config = default_config(weights=w, bid_margin=0.1, win_rule="highest",
+                            strategy="auction_basic")
+    engine = _given_nodes(nodes, config)
+    hosted = [valuation(exact, task, w, 0.1), valuation(inside, task, w, 0.1)]
+    assert hosted[0] > hosted[1]
+    assert engine._fill_value(task).value == left_sum(hosted) / 2  # a stays out
+    outcome = run_task_auction(task, nodes, config, 0.0)
+    assert [(b.node_id, b.eligible) for b in outcome.losing_bids] == [("b", 0)]
+    assert (outcome.winner, outcome.payment) == ("c", hosted[1])
+    assert engine._take(task) == (hosted[1], inside)

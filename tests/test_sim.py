@@ -10,17 +10,15 @@ from hypothesis import strategies as st
 
 import aucrac.containers as ct
 import aucrac.sim as sim
-from aucrac.auction import run_sealed_auction
-from aucrac.core import (Bid, NodeTemplate, ResourceWeights, SimConfig, Task, WorkerNode,
+from aucrac.core import (NodeTemplate, ResourceWeights, SimConfig, Task, WorkerNode,
                          default_config, generate_workload)
-from aucrac.costmodel import (deadline_eligibility, execution_time, price_and_sum, valuation,
-                              valuation_unchecked)
+from aucrac.costmodel import execution_time, valuation, valuation_unchecked
 from aucrac.errors import (ConstraintError, InfeasibleError, InputError, PlacementRejected,
                            StateError)
 from aucrac.rng import new_rng
 from aucrac.sim import (SimEvent, SimState, _percentile, assign, jain_fairness, left_sum,
-                        first_taker, mn_profit, parse_event_line, rank_bidders, run,
-                        run_task_auction, utilization_series)
+                        mn_profit, parse_event_line, run, run_task_auction,
+                        utilization_series)
 from aucrac.core import AuctionOutcome
 
 
@@ -319,23 +317,34 @@ def test_profit_in_metrics_matches_a_log_recomputation():
     assert result.metrics.mn_profit == pytest.approx(expected, rel=1e-9)
 
 
-# --- the bidder ranking against sealed-bid resolution ---------------------
+# --- the engine's pick against sealed-bid resolution ----------------------
 
-def _sealed_reference(task, nodes, config, now):
-    # every node prices the task and bids; run_sealed_auction resolves
-    bids = []
+def _engine_over(nodes, config):
+    # an engine whose class index is built over the given nodes
+    return type("GivenNodes", (sim._Engine,), {"_build_nodes": lambda self: nodes})(config)
+
+
+def _sealed_pick(task, nodes, config):
+    # what _take must return: the winner and payment of the sealed-bid auction
+    outcome = run_task_auction(task, nodes, config, 0.0)
+    if outcome is None or outcome.winner is None:
+        return None
+    return outcome.payment, next(n for n in nodes if n.id == outcome.winner)
+
+
+def _posted_value(task, nodes, config):
+    # the mean ask of the nodes that can host the task, or of every node
+    # at the unchecked price when none can; folded left to right
+    asks = []
     for node in nodes:
         try:
-            amount = valuation(node, task, config.weights, config.bid_margin)
+            asks.append(valuation(node, task, config.weights, config.bid_margin))
         except InfeasibleError:
             continue
-        if config.strategy == "aucrac" and not ct.can_place(node, task):
-            continue
-        bids.append(Bid(node_id=node.id, task_id=task.id, amount=amount,
-                        submit_time=now, eligible=deadline_eligibility(node, task)))
-    if not bids:
-        return None
-    return run_sealed_auction(task, bids, config.win_rule)
+    if not asks:
+        asks = [valuation_unchecked(node, task, config.weights, config.bid_margin)
+                for node in nodes]
+    return left_sum(asks) / len(asks)
 
 
 @pytest.mark.parametrize("strategy", ["aucrac", "auction_basic"])
@@ -355,26 +364,27 @@ def test_ranked_auction_picks_the_sealed_bid_winner(strategy, win_rule):
     # low free memory makes some placements fail on three of the nodes
     for node, free in zip(nodes, (200.0, 300.0, 4096.0, 250.0)):
         node.free_memory = free
+    engine = _engine_over(nodes, config)
+    by_id = {n.id: n for n in nodes}
     seen = set()
     for task in generate_workload(config, new_rng(3)):
-        got = run_task_auction(task, nodes, config, 1.0)
-        want = _sealed_reference(task, nodes, config, 1.0)
+        engine._fill_value(task)
+        got = engine._take(task)
+        want = run_task_auction(task, nodes, config, 1.0)
         if want is None:
             assert got is None
             seen.add("nobody bid")
+        elif want.winner is None:
+            assert got is None
+            seen.add(None)
         else:
-            assert (got.winner, got.payment) == (want.winner, want.payment)
+            assert got == (want.payment, by_id[want.winner])
             seen.add(want.winner)
     assert {None, "wn004"} <= seen
     assert ("nobody bid" in seen) == (strategy == "aucrac")
 
 
 # --- per-class pricing against the per-node definition --------------------
-
-def _engine_over(nodes, config):
-    # an engine whose class index is built over the given nodes
-    return type("GivenNodes", (sim._Engine,), {"_build_nodes": lambda self: nodes})(config)
-
 
 def _open_ranks(cls):
     # the definition: a free container, or room for the smallest slice
@@ -437,19 +447,13 @@ def test_class_pricing_equals_the_per_node_ranking(market):
         for cls in engine.classes:
             assert cls.open == _open_ranks(cls)
         for task in tasks:
-            hosts, _, total = price_and_sum(task, nodes, config.weights, config.bid_margin,
-                                            engine.sign)
-            if not hosts:
-                total = left_sum(valuation_unchecked(node, task, config.weights,
-                                                     config.bid_margin) for node in nodes)
-            assert engine._fill_value(task).value == total / (len(hosts) or len(nodes))
-            want = first_taker(rank_bidders(task, nodes, config)[1], task, strategy)
-            assert engine._take(task) == want
+            assert engine._fill_value(task).value == _posted_value(task, nodes, config)
+            assert engine._take(task) == _sealed_pick(task, nodes, config)
 
 
 class _CheckedEngine(sim._Engine):
     """Checks every open list after every event, and each round's pick
-    against the per-node ranking of the same moment."""
+    against the sealed-bid auction of the same moment."""
 
     def _check_invariants(self, now):
         super()._check_invariants(now)
@@ -459,8 +463,7 @@ class _CheckedEngine(sim._Engine):
 
     def _take(self, task):
         got = super()._take(task)
-        ranking = rank_bidders(task, self.nodes, self.config)[1]
-        assert got == first_taker(ranking, task, self.config.strategy)
+        assert got == _sealed_pick(task, self.nodes, self.config)
         self.seen["taken" if got else "retried"] += 1
         return got
 
