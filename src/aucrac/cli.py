@@ -289,8 +289,7 @@ def _setup_logging():
     if level_name == "off":
         logging.disable(logging.CRITICAL)
         return
-    level = logging.DEBUG if level_name == "trace" else logging.INFO
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,8 +318,6 @@ def main(argv=None) -> int:
             config = replace(config, win_rule=args.win_rule)
         strategies = STRATEGIES
         if args.strategy and args.strategy != "all":
-            if args.strategy not in STRATEGIES:
-                raise UnknownEnumError("strategy", f"must be one of {STRATEGIES}, got {args.strategy!r}")
             strategies = (args.strategy,)
             config = replace(config, strategy=args.strategy)
         sweep_var, sweep_values = ("devices", (config.num_devices,))
@@ -332,8 +329,11 @@ def main(argv=None) -> int:
                               jobs=args.jobs)
         results_path, _agg = run_experiment(spec)
         if args.emit_plots:
-            figures = FIGURES if args.emit_plots == "all" else tuple(
-                f.strip() for f in args.emit_plots.split(",") if f.strip())
+            if args.emit_plots == "all":  # every figure the sweep supports
+                skip = "completion_vs_devices" if sweep_var == "strategy" else None
+                figures = tuple(f for f in FIGURES if f != skip)
+            else:
+                figures = tuple(f.strip() for f in args.emit_plots.split(",") if f.strip())
             for figure in figures:
                 for path in emit_plot_data(results_path, figure, out_dir=args.out):
                     log.info("wrote %s", path)

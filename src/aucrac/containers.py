@@ -20,7 +20,6 @@ class ContainerDecision:
 
     action: str                    # "reuse" | "create" | "requeue"
     container_id: str | None = None
-    predicted_time: float = math.inf  # seconds the execution slice will take
 
     def __post_init__(self):
         if self.action not in ("reuse", "create", "requeue"):
@@ -59,11 +58,9 @@ def select_container(node: WorkerNode, task: Task) -> ContainerDecision:
             and c.memory > task.memory and task.cycles / c.compute < task.td_max]
     if fits:
         c = min(fits, key=lambda c: (c.compute, c.memory, c.id))
-        return ContainerDecision(action="reuse", container_id=c.id,
-                                 predicted_time=task.cycles / c.compute)
+        return ContainerDecision(action="reuse", container_id=c.id)
     if node.free_memory > task.memory and task.cycles / node.cpu < task.td_max:
-        return ContainerDecision(action="create", container_id=None,
-                                 predicted_time=task.cycles / node.cpu)
+        return ContainerDecision(action="create")
     return ContainerDecision(action="requeue")
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConstraintError, SchemaError, StateError, UnknownEnumError
-from .rng import Rng, new_rng
+from .rng import Rng
 
 STRATEGIES = ("aucrac", "random", "round_robin", "greedy", "mct", "auction_basic")
 AUCTION_MODES = ("literal", "repaired")
@@ -430,20 +430,23 @@ def _check_unknown(doc: dict, allowed, where: str):
             raise SchemaError(f"{where}.{key}" if where else key, "unknown key")
 
 
-def _coerce(cls, doc: dict, where: str):
-    """Build dataclass `cls` from a plain dict, rejecting unknown keys."""
+def _coerce(cls, doc: dict, where: str = ""):
+    """Build dataclass `cls` from a plain dict, rejecting unknown keys. The top
+    level also builds its blocks and templates; lists become tuples inside them."""
     if not isinstance(doc, dict):
-        raise SchemaError(where or cls.__name__, f"expected an object, got {type(doc).__name__}")
-    names = {f.name for f in fields(cls)}
-    _check_unknown(doc, names, where)
+        raise SchemaError(where or "config", f"expected an object, got {type(doc).__name__}")
+    _check_unknown(doc, {f.name for f in fields(cls)}, where)
     kwargs = {}
-    for f in fields(cls):
-        if f.name not in doc:
-            continue
-        raw = doc[f.name]
-        if isinstance(raw, list):
+    for key, raw in doc.items():
+        if key in _NESTED:
+            raw = _coerce(_NESTED[key], raw, key)
+        elif key == "node_templates":
+            if not isinstance(raw, list):
+                raise SchemaError("node_templates", "expected a list of objects")
+            raw = tuple(_coerce(NodeTemplate, t, f"{key}[{i}]") for i, t in enumerate(raw))
+        elif where and isinstance(raw, list):
             raw = tuple(raw)
-        kwargs[f.name] = raw
+        kwargs[key] = raw
     return cls(**kwargs)
 
 
@@ -455,23 +458,7 @@ _NESTED = {
 
 
 def config_from_dict(doc: dict) -> SimConfig:
-    if not isinstance(doc, dict):
-        raise SchemaError("config", f"expected an object, got {type(doc).__name__}")
-    names = {f.name for f in fields(SimConfig)}
-    _check_unknown(doc, names, "")
-    kwargs = {}
-    for key, raw in doc.items():
-        if key in _NESTED:
-            kwargs[key] = _coerce(_NESTED[key], raw, key)
-        elif key == "node_templates":
-            if not isinstance(raw, list):
-                raise SchemaError("node_templates", "expected a list of objects")
-            kwargs[key] = tuple(
-                _coerce(NodeTemplate, t, f"node_templates[{i}]") for i, t in enumerate(raw)
-            )
-        else:
-            kwargs[key] = raw
-    return SimConfig(**kwargs)
+    return _coerce(SimConfig, doc)
 
 
 def _as_plain(value):

@@ -7,6 +7,8 @@ platform and Python version.
 
 from __future__ import annotations
 
+import math
+
 MASK64 = (1 << 64) - 1
 
 
@@ -66,8 +68,6 @@ class Rng:
                 return lo + u % span
 
     def expovariate(self, rate: float) -> float:
-        import math
-
         if rate <= 0:
             raise ValueError("rate must be positive")
         return -math.log(1.0 - self.random()) / rate

@@ -116,7 +116,6 @@ def mn_profit(outcomes, tasks, unit_price: float) -> float:
 class SimState:
     """Mutable assignment-time context shared by the strategies."""
 
-    config: SimConfig
     now: float = 0.0
     rr_next: int = 0
     available_at: dict = field(default_factory=dict)
@@ -148,10 +147,10 @@ def run_task_auction(task: Task, nodes, config: SimConfig, now: float) -> Auctio
     return run_sealed_auction(task, bids, config.win_rule)
 
 
-def assign(strategy: str, task: Task, nodes, rng: Rng, state: SimState) -> str | None:
-    """Pick the executing node for one task. None means nobody can take it now."""
+def assign(strategy: str, task: Task, nodes, rng: Rng, state: SimState) -> str:
+    """Pick the executing node for one task under a whole-node strategy."""
     if strategy == "random":
-        return rng.choice(list(nodes)).id
+        return rng.choice(nodes).id
     if strategy == "round_robin":
         node = nodes[state.rr_next % len(nodes)]
         state.rr_next += 1
@@ -168,9 +167,6 @@ def assign(strategy: str, task: Task, nodes, rng: Rng, state: SimState) -> str |
             wait = max(0.0, state.available_at.get(node.id, 0.0) - state.now)
             return wait + execution_time(node, task)
         return min(nodes, key=lambda n: (eta(n), n.id)).id
-    if strategy in ("aucrac", "auction_basic"):
-        outcome = run_task_auction(task, nodes, state.config, state.now)
-        return outcome.winner if outcome is not None else None
     raise InputError(f"unknown strategy {strategy!r}")
 
 
@@ -278,7 +274,7 @@ class _Engine:
         if config.strategy in ("aucrac", "auction_basic"):
             self._index_classes()  # only the auctions price a task per node class
         self.tasks = {}
-        self.state = SimState(config=config)
+        self.state = SimState()
         self.heap = []
         self.log = _Records()
         self.payments = {}
@@ -698,8 +694,7 @@ def utilization_series(log_lines) -> dict:
         frac = busy.get(node_id, 0.0) / cap[node_id] if node_id in cap else 0.0
         series.setdefault(node_id, []).append((time, frac, mem.get(node_id, 0.0)))
 
-    for line in log_lines:
-        ev = parse_event_line(line) if isinstance(line, str) else line
+    for ev in map(parse_event_line, log_lines):
         if ev.kind == "exec_start":
             d = _detail_map(ev.detail)
             cap[ev.node_id] = float(d["ei"])

@@ -220,11 +220,24 @@ def test_main_emits_requested_plots(tmp_path):
 def test_main_rejects_the_completion_figure_over_a_strategy_sweep(tmp_path, capsys):
     path = _write_config(tmp_path, {"num_devices": 2, "num_workers": 2})
     code = main(["--config", path, "--sweep", "strategy=aucrac,mct", "--seeds", "0..1",
-                 "--out", str(tmp_path / "out"), "--emit-plots", "all"])
+                 "--out", str(tmp_path / "out"), "--emit-plots", "completion_vs_devices"])
     assert code == EXIT_RUNTIME
     # one line naming the figure and the sweep variable, not a traceback
     assert ("runtime error: figure completion_vs_devices needs a numeric sweep, "
             "got strategy=aucrac\n") in capsys.readouterr().err
+
+
+def test_main_all_plots_over_a_strategy_sweep_skips_the_completion_figure(tmp_path):
+    path = _write_config(tmp_path, {"num_devices": 2, "num_workers": 2})
+    out = tmp_path / "out"
+    code = main(["--config", path, "--sweep", "strategy=aucrac,mct", "--seeds", "0..1",
+                 "--out", str(out), "--emit-plots", "all"])
+    assert code == EXIT_OK
+    names = set(os.listdir(out))
+    assert "fairness_table.csv" in names
+    for figure in ("memory_vs_tasks", "cpu_vs_tasks"):
+        assert {f"{figure}__container.csv", f"{figure}__vm.csv"} <= names
+    assert not [n for n in names if n.startswith("completion_vs_devices__")]
 
 
 def test_main_missing_config_file_is_io_error(tmp_path):
@@ -253,9 +266,12 @@ def test_main_constraint_violation_is_constraint_error(tmp_path):
     assert main(["--config", path]) == EXIT_CONSTRAINT
 
 
-def test_main_rejects_unknown_strategy_flag(tmp_path):
+def test_main_rejects_unknown_strategy_flag(tmp_path, capsys):
     path = _write_config(tmp_path, {"num_devices": 2, "num_workers": 2})
     assert main(["--config", path, "--strategy", "sorcery"]) == EXIT_ENUM
+    assert capsys.readouterr().err == (
+        "unknown value: strategy: must be one of ('aucrac', 'random', 'round_robin', "
+        "'greedy', 'mct', 'auction_basic'), got 'sorcery'\n")
 
 
 def test_main_rejects_bad_seed_text(tmp_path):

@@ -66,7 +66,6 @@ def test_best_fit_prefers_the_smallest_adequate_container():
     decision = select_container(node, _task(cycles=1e9, memory=250.0, td_max=2.0))
     assert decision.action == "reuse"
     assert decision.container_id == "wn0-c0001"  # smaller compute wins the scan
-    assert decision.predicted_time == pytest.approx(1.0)
 
 
 def test_reuse_requires_strictly_more_memory():

@@ -239,6 +239,27 @@ def test_config_surfaces_enum_errors_from_values():
         config_from_dict({"strategy": "nope"})
 
 
+@pytest.mark.parametrize("doc, exc, message", [
+    ([1, 2], SchemaError, "config: expected an object, got list"),
+    ({"weights": [1]}, SchemaError, "weights: expected an object, got list"),
+    ({"node_templates": {"cpu": 1e9}}, SchemaError,
+     "node_templates: expected a list of objects"),
+    ({"node_templates": [3]}, SchemaError, "node_templates[0]: expected an object, got int"),
+    ({"typo_key": 1}, SchemaError, "typo_key: unknown key"),
+    ({"weights": {"bogus": 1}}, SchemaError, "weights.bogus: unknown key"),
+    ({"node_templates": [{"gpu": 1}]}, SchemaError, "node_templates[0].gpu: unknown key"),
+    # a top-level list reaches the validator as a list, not a tuple
+    ({"strategy": ["aucrac"]}, UnknownEnumError,
+     "strategy: must be one of ('aucrac', 'random', 'round_robin', 'greedy', 'mct', "
+     "'auction_basic'), got ['aucrac']"),
+])
+def test_config_shape_errors_name_the_offending_entry(doc, exc, message):
+    with pytest.raises(exc) as info:
+        config_from_dict(doc)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
 # --- class counts and workload generation ---------------------------------
 
 def test_class_counts_are_exact_for_default_mix():

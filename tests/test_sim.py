@@ -86,7 +86,7 @@ def _simple_task(cycles=3e9, deadline=10.0):
 
 
 def test_round_robin_cycles_through_nodes():
-    state = SimState(config=default_config(num_workers=2))
+    state = SimState()
     nodes = _hand_nodes()
     rng = new_rng(0)
     picks = [assign("round_robin", _simple_task(), nodes, rng, state) for _ in range(4)]
@@ -94,7 +94,7 @@ def test_round_robin_cycles_through_nodes():
 
 
 def test_mct_prefers_the_earliest_finish():
-    state = SimState(config=default_config(num_workers=2))
+    state = SimState()
     nodes = _hand_nodes()
     # both idle: the faster cpu finishes first
     assert assign("mct", _simple_task(), nodes, new_rng(0), state) == "wn001"
@@ -104,7 +104,7 @@ def test_mct_prefers_the_earliest_finish():
 
 
 def test_greedy_takes_the_biggest_free_node():
-    state = SimState(config=default_config(num_workers=2))
+    state = SimState()
     nodes = _hand_nodes()
     assert assign("greedy", _simple_task(), nodes, new_rng(0), state) == "wn001"
     # a busy big node loses to a free small one
@@ -115,17 +115,21 @@ def test_greedy_takes_the_biggest_free_node():
 
 def test_random_assignment_is_seed_deterministic():
     nodes = _hand_nodes()
-    picks_a = [assign("random", _simple_task(), nodes, new_rng(7),
-                      SimState(config=default_config())) for _ in range(1)]
-    picks_b = [assign("random", _simple_task(), nodes, new_rng(7),
-                      SimState(config=default_config())) for _ in range(1)]
+    picks_a = [assign("random", _simple_task(), nodes, new_rng(7), SimState()) for _ in range(1)]
+    picks_b = [assign("random", _simple_task(), nodes, new_rng(7), SimState()) for _ in range(1)]
     assert picks_a == picks_b
 
 
 def test_unknown_strategy_is_rejected():
     with pytest.raises(InputError):
-        assign("astrology", _simple_task(), _hand_nodes(), new_rng(0),
-               SimState(config=default_config()))
+        assign("astrology", _simple_task(), _hand_nodes(), new_rng(0), SimState())
+
+
+@pytest.mark.parametrize("strategy", ["aucrac", "auction_basic"])
+def test_assign_is_only_for_whole_node_strategies(strategy):
+    # the engine prices auction rounds itself (_Engine._take); assign has no auction
+    with pytest.raises(InputError, match=f"unknown strategy '{strategy}'"):
+        assign(strategy, _simple_task(), _hand_nodes(), new_rng(0), SimState())
 
 
 # --- one-task auctions against hand nodes ---------------------------------
