@@ -1,9 +1,12 @@
 """Sealed-bid, first-price task auctions run by the manager node.
 
 Two resolution modes exist. The repaired mode picks the best eligible
-bid under the configured win rule. The literal mode reproduces the
-batch allocation procedure with zero-initialized standing bids exactly,
-degenerate funneling included, so its behavior can be studied as is.
+bid under the configured win rule. The literal mode reproduces the batch
+allocation procedure exactly, degenerate funneling included: standing
+bids start at zero and only the last ever rises, so a task of positive
+value goes to the highest ask (ties to the later node), a zero-valued one
+to the lowest. The engine computes that pick in closed form, tested
+against `allocate_tasks_literal`.
 """
 
 from __future__ import annotations
@@ -95,8 +98,8 @@ def allocate_tasks_literal(values, tasks, initial_bids=None) -> LiteralAllocatio
     to the first worker whose standing bid already reaches the task
     value, falling back to the last (highest-value) worker, whose
     standing bid is then raised to the task value. With zero-initialized
-    bids the fallback funnels every distinct-valued task to that last
-    worker; this is preserved, not repaired.
+    bids the fallback funnels every task with a positive value to that
+    last worker; this is preserved, not repaired.
     """
     values = list(values)
     if not values:

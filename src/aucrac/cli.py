@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .containers import memory_footprint
-from .core import (STRATEGIES, SimConfig, WorkerNode, config_from_json,
+from .core import (STRATEGIES, SimConfig, WorkerNode, _in_enum, config_from_json,
                    default_config)
 from .errors import (AucracError, ConstraintError, InputError, SchemaError,
                      UnknownEnumError)
@@ -286,6 +286,7 @@ def _parse_sweep(text: str) -> tuple:
 
 def _setup_logging():
     level_name = os.environ.get("AUCRAC_LOG", "info").lower()
+    _in_enum("AUCRAC_LOG", level_name, ("info", "off"))
     if level_name == "off":
         logging.disable(logging.CRITICAL)
         return
@@ -308,9 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
+        _setup_logging()
         config = load_config(args.config) if args.config else default_config()
         if args.mode:
             config = replace(config, auction_mode=args.mode)

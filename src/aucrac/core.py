@@ -60,7 +60,7 @@ class ResourceWeights:
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "lambda3"):
             v = getattr(self, name)
-            if not 0.0 < v < 1.0:
+            if not _finite(v) or not 0.0 < v < 1.0:
                 raise ConstraintError(f"weights.{name}", f"must lie strictly in (0, 1), got {v!r}")
         total = self.lambda1 + self.lambda2 + self.lambda3
         if abs(total - 1.0) > 1e-12:
@@ -368,10 +368,10 @@ class WorkloadSpec:
         for name in ("lit_cycles", "mit_cycles", "hit_cycles", "memory_mb", "power_w",
                      "data_in_mb", "data_out_mb", "deadline_s", "td_max_s"):
             rng_pair = getattr(self, name)
-            if len(rng_pair) != 2 or not rng_pair[0] <= rng_pair[1]:
+            if (not isinstance(rng_pair, (tuple, list)) or len(rng_pair) != 2
+                    or not all(map(_finite, rng_pair)) or not rng_pair[0] <= rng_pair[1]):
                 raise ConstraintError(f"workload.{name}", f"must be an ordered (lo, hi) pair, got {rng_pair!r}")
-            _positive(f"workload.{name}", rng_pair[0])
-            _positive(f"workload.{name}", rng_pair[1])
+            _positive(f"workload.{name}", rng_pair[0])  # and so hi, which is at least lo
             object.__setattr__(self, name, (float(rng_pair[0]), float(rng_pair[1])))
 
     @property

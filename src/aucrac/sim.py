@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
 from . import containers as ct
-from .auction import allocate_tasks_literal, mn_revenue, run_sealed_auction
+from .auction import mn_revenue, run_sealed_auction
 from .core import (AuctionOutcome, Bid, MetricsRecord, SimConfig, Task, WorkerNode,
                    _trusted_task, generate_workload)
 from .costmodel import deadline_eligibility, execution_time, valuation, valuation_unchecked
@@ -257,8 +257,7 @@ class _Engine:
                  "node_by_id", "node_index", "ucd", "classes", "slot", "node_class", "tasks",
                  "state", "heap", "log", "payments", "retries", "pending_exec", "finished",
                  "failed", "arrived", "per_node_tasks", "whole_mem", "peak_mem", "busy_cc",
-                 "cpu_acc", "cpu_last", "literal_bids", "last_time", "offers", "freed",
-                 "touched")
+                 "cpu_acc", "cpu_last", "last_time", "offers", "freed", "touched")
 
     def __init__(self, config: SimConfig):
         self.config = config
@@ -289,7 +288,6 @@ class _Engine:
         self.busy_cc = {n.id: 0.0 for n in self.nodes}
         self.cpu_acc = {n.id: 0.0 for n in self.nodes}
         self.cpu_last = {n.id: 0.0 for n in self.nodes}
-        self.literal_bids = None
         self.last_time = 0.0
         self.offers = {}        # task id -> its eligible classes, until assigned or failed
         self.freed = deque()    # (freed_at, node index) per container release, in time order
@@ -513,9 +511,9 @@ class _Engine:
             except PlacementRejected:
                 return None
             created = 1
+            self._touch_mem(node.id)  # only a create adds memory; a reuse holds it already
         self.pending_exec[task.id] = (node.id, container.id, container.compute,
                                       container.memory, created)
-        self._touch_mem(node.id)
         self._touch(node)
         return now, now + task.cycles / container.compute
 
@@ -537,14 +535,13 @@ class _Engine:
                           detail=f"cc={gone.compute!r};mem={gone.memory!r};from=free;destroyed=1")
 
     def _literal_round(self, task: Task) -> tuple:
-        # standing bids continue positionally across rounds, exactly as the
-        # batch procedure would keep its arrays
-        values = [valuation_unchecked(n, task, self.config.weights, self.config.bid_margin)
-                  for n in self.nodes]
-        alloc = allocate_tasks_literal(values, [task], initial_bids=self.literal_bids)
-        self.literal_bids = list(alloc.bids)
-        node = self.nodes[alloc.order[alloc.assignments[0]]]
-        return node, task.value
+        # allocate_tasks_literal's pick, bids carried across rounds, in closed
+        # form (the auction module says why): an end of its own sort, not a
+        # max/min, since an infeasible node's ask can be NaN
+        asks = [valuation_unchecked(n, task, self.config.weights, self.config.bid_margin)
+                for n in self.nodes]
+        order = sorted(range(len(asks)), key=lambda i: (asks[i], i))
+        return task.value, self.nodes[order[-1] if task.value > 0 else order[0]]
 
     def _handle_round(self, now: float, task_id: str):
         task = self.tasks[task_id]
@@ -557,10 +554,8 @@ class _Engine:
         if not auction:
             node = self.node_by_id[assign(strategy, task, self.nodes, self.rng_dyn, self.state)]
             payment = valuation_unchecked(node, task, self.config.weights, self.config.bid_margin)
-        elif self.config.auction_mode == "literal":
-            node, payment = self._literal_round(task)
         else:
-            pick = self._take(task)
+            pick = self._literal_round(task) if self.config.auction_mode == "literal" else self._take(task)
             if pick is None:
                 self._retry(now, task)
                 return
@@ -583,9 +578,9 @@ class _Engine:
         node = self.node_by_id[node_id]
         self.per_node_tasks[node_id] += 1
         self._cpu_change(node_id, cc, now)
-        if not container_id:
+        if not container_id:  # a container's memory was sampled when it was created
             self.whole_mem[node_id] += mem
-        self._touch_mem(node_id)
+            self._touch_mem(node_id)
         self._log(now, "exec_start", task_id=task_id, node_id=node_id,
                   container_id=container_id,
                   detail=f"cc={cc!r};ei={node.cpu!r};mem={mem!r};created={created}")

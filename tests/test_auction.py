@@ -1,6 +1,8 @@
 """Sealed-bid resolution, bid optimization, and the literal batch procedure."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aucrac.auction import (allocate_tasks_literal, expected_utility,
                             mn_revenue, optimal_bid_numeric,
@@ -185,6 +187,19 @@ def test_literal_single_worker_takes_everything():
     alloc = allocate_tasks_literal([2.0], tasks)
     assert alloc.assignments == (0, 0)
     assert alloc.bids == (4.0,)  # raised to 4, then held there
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=8),
+       st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e300)),
+                max_size=12))
+def test_literal_from_zero_bids_only_the_last_bid_rises(values, task_values):
+    # whatever the worker values, NaN included: a zero bid takes only a
+    # zero-valued task and stays zero, so positive values fall through
+    alloc = allocate_tasks_literal(values, [_task(value=v) for v in task_values])
+    n = len(values)
+    assert alloc.assignments == tuple(n - 1 if v > 0 else 0 for v in task_values)
+    assert alloc.bids[:-1] == (0.0,) * (n - 1)
+    assert alloc.bids[-1] == max(task_values, default=0.0)
 
 
 def test_literal_guards():

@@ -1,6 +1,7 @@
 """Experiment runner: sweeps, CSV output, plot data, exit codes."""
 
 import json
+import logging
 import os
 
 import pytest
@@ -264,6 +265,41 @@ def test_main_bad_enum_is_enum_error(tmp_path):
 def test_main_constraint_violation_is_constraint_error(tmp_path):
     path = _write_config(tmp_path, {"num_workers": 1})
     assert main(["--config", path]) == EXIT_CONSTRAINT
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"workload": {"memory_mb": [1.0, "a"]}}, "workload.memory_mb"),
+    ({"workload": {"memory_mb": 5}}, "workload.memory_mb"),
+    ({"weights": {"lambda1": "x"}}, "weights.lambda1"),
+])
+def test_main_non_number_bound_is_a_constraint_error(tmp_path, capsys, doc, field):
+    # each once reached a comparison with a non-number and crashed with a TypeError
+    assert main(["--config", _write_config(tmp_path, doc)]) == EXIT_CONSTRAINT
+    err = capsys.readouterr().err
+    assert err.startswith(f"config constraint violated: {field}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["of", "trace"])
+def test_main_rejects_an_unknown_log_setting_before_any_run(tmp_path, capsys, monkeypatch,
+                                                             value):
+    monkeypatch.setenv("AUCRAC_LOG", value)
+    path = _write_config(tmp_path, {"num_devices": 2, "num_workers": 2})
+    out = tmp_path / "out"
+    assert main(["--config", path, "--seeds", "0", "--out", str(out)]) == EXIT_ENUM
+    assert capsys.readouterr().err == (
+        f"unknown value: AUCRAC_LOG: must be one of ('info', 'off'), got {value!r}\n")
+    assert not out.exists()
+
+
+def test_main_log_setting_ignores_case(tmp_path, monkeypatch):
+    monkeypatch.setenv("AUCRAC_LOG", "OFF")
+    path = _write_config(tmp_path, {"num_devices": 2, "num_workers": 2})
+    try:
+        assert main(["--config", path, "--seeds", "0", "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert logging.root.manager.disable == logging.CRITICAL
+    finally:
+        logging.disable(logging.NOTSET)
 
 
 def test_main_rejects_unknown_strategy_flag(tmp_path, capsys):

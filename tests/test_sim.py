@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import aucrac.containers as ct
 import aucrac.sim as sim
+from aucrac.auction import allocate_tasks_literal
 from aucrac.core import (NodeTemplate, ResourceWeights, SimConfig, Task, WorkerNode,
                          default_config, generate_workload)
 from aucrac.costmodel import execution_time, valuation, valuation_unchecked
@@ -486,6 +487,60 @@ def test_open_lists_follow_the_books_through_a_run(win_rule, templates):
     assert result.log_lines == run(config).log_lines
     # some nodes were closed, and rounds both placed and retried
     assert min(engine.seen.values()) > 0
+
+
+class _LiteralCheckedEngine(sim._Engine):
+    """Replays the batch procedure at every literal round, its standing
+    bids carried from round to round, and checks the engine's pick."""
+
+    def _literal_round(self, task):
+        payment, node = super()._literal_round(task)
+        asks = [valuation_unchecked(n, task, self.config.weights, self.config.bid_margin)
+                for n in self.nodes]
+        alloc = allocate_tasks_literal(asks, [task], initial_bids=self.bids)
+        self.bids = list(alloc.bids)
+        assert node is self.nodes[alloc.order[alloc.assignments[0]]]
+        assert payment == task.value
+        self.seen["positive" if task.value > 0 else "zero"] += 1
+        self.seen["nan_asks"] += any(a != a for a in asks)
+        return payment, node
+
+
+def _literal_configs():
+    base = default_config(num_devices=60, auction_mode="literal")
+    # unit_cost * delta underflows to 0 on every node: every ask is 0
+    tiny = replace(base, weights=ResourceWeights(delta=1e-300), node_templates=tuple(
+        replace(t, unit_cost=1e-300) for t in base.node_templates))
+    for strategy in ("aucrac", "auction_basic"):
+        for win_rule in ("lowest", "highest"):
+            yield pytest.param(replace(base, strategy=strategy, win_rule=win_rule), "positive",
+                               id=f"{strategy}-{win_rule}")
+        yield pytest.param(replace(tiny, strategy=strategy), "zero", id=f"{strategy}-zero-asks")
+        # a first template, infeasible by its cycles ratio, which overflows
+        # for most tasks: 0 * inf gives its nodes NaN asks, while the other
+        # templates keep positive ones and so a positive posted value. With
+        # NaN asks from position 0 on, a max/min over (ask, position) picks
+        # other nodes than the procedure's sort does.
+        yield pytest.param(replace(tiny, strategy=strategy, node_templates=(
+            NodeTemplate(cpu=1e-300, unit_cost=1e-300),) + base.node_templates), "nan_asks",
+            id=f"{strategy}-nan-asks")
+    yield pytest.param(replace(base, num_devices=150, num_workers=8, retry_interval_s=0.3,
+                               executor=replace(base.executor, idle_ttl_s=0.5, max_requeues=1)),
+                       "positive", id="aucrac-short-ttl")
+
+
+@pytest.mark.parametrize("config, shows", _literal_configs())
+def test_literal_round_picks_the_batch_procedures_node(config, shows):
+    engine = _LiteralCheckedEngine(config)
+    engine.bids = None
+    engine.seen = {"positive": 0, "zero": 0, "nan_asks": 0}
+    result = engine.run()
+    assert result.log_lines == run(config).log_lines
+    assert engine.seen[shows] > 0
+    if shows == "zero":
+        assert engine.seen["positive"] == 0  # ties fall to the first position
+    if shows == "nan_asks":
+        assert engine.seen["positive"] > 0
 
 
 # --- the event heap -------------------------------------------------------
