@@ -325,19 +325,21 @@ def main(argv=None) -> int:
         if args.sweep:
             sweep_var, sweep_values = _parse_sweep(args.sweep)
         seeds = _parse_seeds(args.seeds) if args.seeds else tuple(range(30))
+        figures = ()
+        if args.emit_plots == "all":  # every figure the sweep supports
+            skip = "completion_vs_devices" if sweep_var == "strategy" else None
+            figures = tuple(f for f in FIGURES if f != skip)
+        elif args.emit_plots:
+            figures = tuple(f.strip() for f in args.emit_plots.split(",") if f.strip())
+            for figure in figures:  # a typo fails before the sweep, not after it
+                _in_enum("figure", figure, FIGURES)
         spec = ExperimentSpec(base=config, sweep_var=sweep_var, sweep_values=sweep_values,
                               strategies=strategies, seeds=seeds, out_dir=args.out,
                               jobs=args.jobs)
         results_path, _agg = run_experiment(spec)
-        if args.emit_plots:
-            if args.emit_plots == "all":  # every figure the sweep supports
-                skip = "completion_vs_devices" if sweep_var == "strategy" else None
-                figures = tuple(f for f in FIGURES if f != skip)
-            else:
-                figures = tuple(f.strip() for f in args.emit_plots.split(",") if f.strip())
-            for figure in figures:
-                for path in emit_plot_data(results_path, figure, out_dir=args.out):
-                    log.info("wrote %s", path)
+        for figure in figures:
+            for path in emit_plot_data(results_path, figure, out_dir=args.out):
+                log.info("wrote %s", path)
     except SchemaError as exc:
         print(f"config schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -173,7 +173,10 @@ def assign(strategy: str, task: Task, nodes, rng: Rng, state: SimState) -> str:
 def _check_books(nodes, when: str):
     """Each node's container pool must account for exactly the memory it holds."""
     for node in nodes:
-        if abs(node.live_memory() - (node.memory - node.free_memory)) > 1e-6:
+        # free_memory is the capacity less a running total of container sizes,
+        # so it carries rounding at the scale of the capacity, not of the
+        # containers: the books may disagree by an ulp or so of `memory`
+        if abs(node.live_memory() - (node.memory - node.free_memory)) > 1e-9 * node.memory:
             raise StateError(f"node {node.id}: container memory books disagree {when}")
         if node.free_memory < -1e-9 or node.free_compute < -1e-9:
             raise StateError(f"node {node.id}: capacity oversubscribed {when}")

@@ -1,0 +1,201 @@
+"""The event engine with each fast path replaced by the definition it
+reproduces: the oracle every fast path is tested against.
+
+- `_fill_value`: the left-fold mean of `valuation` over the nodes that can
+  host the task, or of `valuation_unchecked` over every node when none can.
+- `_take`: `run_task_auction` over every node.
+- `_literal_round`: `allocate_tasks_literal`, its standing bids carried from
+  round to round.
+- `_reap`: `reap_idle` on every node, in node order, on every container round.
+- `_check_invariants`: the books of every node after every event, and each
+  class's open list against its definition, the one piece of fast-path state
+  that no output shows.
+
+The whole-node picks already call `assign`. A new fast path adds its
+definition here as one more override. `market` draws the nodes and tasks
+of the single-round comparison, `same_round`.
+"""
+
+from collections import Counter
+from dataclasses import replace
+
+from hypothesis import strategies as st
+
+import aucrac.containers as ct
+import aucrac.sim as sim
+from aucrac.auction import allocate_tasks_literal
+from aucrac.core import ResourceWeights, Task, WorkerNode, default_config, generate_workload
+from aucrac.costmodel import execution_time, valuation, valuation_unchecked
+from aucrac.errors import AucracError, InfeasibleError, PlacementRejected
+from aucrac.rng import new_rng
+
+
+def over(nodes, engine=sim._Engine):
+    """`engine` with its class index built over the given nodes."""
+    return type("GivenNodes", (engine,), {"_build_nodes": lambda self: nodes})
+
+
+class ReferenceEngine(sim._Engine):
+    """`seen` counts what the engine met: rounds taken and retried, closed
+    members, literal rounds of positive and of zero posted value, literal
+    rounds with a NaN ask, and reaped containers."""
+
+    def __init__(self, config):
+        self.seen = Counter()
+        self.bids = None  # the batch procedure's standing bids
+        super().__init__(config)
+
+    def _fill_value(self, task):
+        weights, margin = self.config.weights, self.config.bid_margin
+        asks = []
+        for node in self.nodes:
+            try:
+                asks.append(valuation(node, task, weights, margin))
+            except InfeasibleError:
+                continue
+        if not asks:
+            asks = [valuation_unchecked(node, task, weights, margin) for node in self.nodes]
+        valued = replace(task, value=sim.left_sum(asks) / len(asks))
+        self.tasks[task.id] = valued
+        self.offers[task.id] = None  # the round drops the entry when it assigns or fails
+        return valued
+
+    def _take(self, task):
+        outcome = sim.run_task_auction(task, self.nodes, self.config, self.state.now)
+        if outcome is None or outcome.winner is None:
+            self.seen["retried"] += 1
+            return None
+        self.seen["taken"] += 1
+        return outcome.payment, self.node_by_id[outcome.winner]
+
+    def _literal_round(self, task):
+        asks = [valuation_unchecked(n, task, self.config.weights, self.config.bid_margin)
+                for n in self.nodes]
+        alloc = allocate_tasks_literal(asks, [task], initial_bids=self.bids)
+        self.bids = alloc.bids
+        self.seen["positive" if task.value > 0 else "zero"] += 1
+        self.seen["nan_asks"] += any(a != a for a in asks)
+        return task.value, self.nodes[alloc.order[alloc.assignments[0]]]
+
+    def _reap(self, now):
+        self.freed.clear()  # the fast path's queue of due nodes
+        for node in self.nodes:
+            reaped = ct.reap_idle(node, now)
+            if reaped:
+                self._touch(node)
+            self.seen["reaped"] += len(reaped)
+            for gone in reaped:
+                self._log(now, "container_release", node_id=node.id, container_id=gone.id,
+                          detail=f"cc={gone.compute!r};mem={gone.memory!r};from=free;destroyed=1")
+
+    def _check_invariants(self, now):
+        self.touched.clear()  # every node is checked, not only those the event touched
+        super()._check_invariants(now)
+        sim._check_books(self.nodes, f"at t={now!r}")
+        for cls in getattr(self, "classes", ()):  # only the auctions index classes
+            # open: a free container, or room for the smallest slice
+            ranks = [r for r, (_, _, node) in enumerate(cls.members)
+                     if any(c.state == "free" for c in node.container_pool)
+                     or node.free_compute >= node.executor.slice_granularity]
+            assert cls.open == ranks, "an open list left its definition"
+            self.seen["closed"] += len(cls.members) - len(ranks)
+
+
+def same_round(nodes, tasks, config):
+    """Both engines price and take each task in turn over the given nodes. A
+    pick is compared as (ask, node id), because the nodes may share an id.
+    Returns the picks."""
+    fast, reference = over(nodes)(config), over(nodes, ReferenceEngine)(config)
+    reference._check_invariants(0.0)  # the open lists of prefilled pools
+    got = []
+    for task in tasks:
+        assert fast._fill_value(task) == reference._fill_value(task)
+        picks = [pick and (pick[0], pick[1].id) for pick in (fast._take(task),
+                                                             reference._take(task))]
+        assert picks[0] == picks[1], picks
+        got.append(picks[0])
+    return got
+
+
+def _outcome(engine):
+    try:
+        result = engine.run()
+    except AucracError as exc:
+        return exc, (type(exc), str(exc))
+    return None, (result.log_lines, result.metrics, [t.value for t in result.tasks])
+
+
+def same_run(config):
+    """Both engines run the config. They must give the same log lines, metrics
+    and task values, or raise the same error, which is then raised again.
+    Returns the reference engine, whose `seen` shows what the run reached."""
+    error, got = _outcome(sim._Engine(config))
+    reference = ReferenceEngine(config)
+    want = _outcome(reference)[1]
+    assert got == want, "the fast engine left the reference engine"
+    if error is not None:
+        raise error
+    return reference
+
+
+_pos = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def market(draw):
+    """A config, its nodes and tasks, with the edge cases forced often: a
+    node whose capacity equals a task's demand in one dimension (ratio
+    exactly 1), a deadline equal to one node's execution time, twins that
+    tie on every ask, listed out of id order or sharing an id, partly
+    filled pools of busy and free containers, and 1100 nodes. Templates
+    are one for all nodes, one per node, or a few with repeats, drawn from
+    at most three capacities, and unit costs come from at most three, so
+    that asks tie both inside a class and across classes."""
+    l1 = draw(st.floats(0.01, 0.98))
+    l2 = draw(st.floats(0.005, 0.99 - l1))
+    weights = ResourceWeights(lambda1=l1, lambda2=l2, lambda3=1.0 - l1 - l2,
+                              alpha1=draw(_pos), alpha2=draw(_pos), delta=draw(_pos))
+    config = default_config(weights=weights,
+                            win_rule=draw(st.sampled_from(["lowest", "highest"])),
+                            bid_margin=draw(st.sampled_from([0.0, 0.1]) | st.floats(0.0, 10.0)))
+    rnd = draw(st.randoms(use_true_random=True))
+    tasks = list(generate_workload(replace(config, num_devices=1), new_rng(rnd.randint(0, 99))))
+    n = draw(st.sampled_from([1, 2, 9, 1100]) | st.integers(2, 40))
+    kinds = draw(st.sampled_from(["one", "per_node", "few"]))
+    count = {"one": 1, "per_node": n, "few": rnd.randint(2, 6)}[kinds]
+    capacities = [[rnd.choice([1e9, 2e9, 5e9, 1.2e10]), rnd.choice([300.0, 4096.0, 16384.0]),
+                   rnd.choice([8.0, 200.0])] for _ in range(rnd.randint(1, 3))]
+    edge = draw(st.integers(-1, 2))
+    if edge >= 0:  # the first node's demand ratio for the first task is exactly 1
+        capacities[0][edge] = (tasks[0].cycles, tasks[0].memory, tasks[0].power)[edge]
+    templates = [(*(capacities[0] if i == 0 else rnd.choice(capacities)),
+                  rnd.choice([0.5, 5.0]) * (1 + i * 1e-4)) for i in range(count)]
+    if kinds == "few":
+        templates += rnd.sample(templates, rnd.randint(0, len(templates)))  # repeats
+    costs = [rnd.choice([0.7, 1.0, 1.3]) for _ in range(rnd.randint(1, 3))]
+    ids = [f"wn{i:03d}" for i in range(n)]
+    rnd.shuffle(ids)
+    nodes = []
+    for i, node_id in enumerate(ids):
+        cpu, memory, power, time_const = templates[i % len(templates)]
+        node = WorkerNode(id=node_id, cpu=cpu, memory=memory, power=power,
+                          unit_cost=rnd.choice(costs), time_const=time_const,
+                          executor=config.executor)
+        for _ in range(rnd.choice([0, 0, 1, 3])):
+            filler = Task(id="f", data_in=1.0, data_out=0.5, cycles=rnd.uniform(1e8, 2e10),
+                          memory=rnd.uniform(10.0, 2000.0), power=1.0, deadline=10.0,
+                          td_max=rnd.uniform(2.0, 4.0))
+            try:
+                container = ct.create_container(node, filler)
+            except PlacementRejected:
+                continue
+            if rnd.random() < 0.5:
+                ct.release_container(node, container.id)
+        nodes.append(node)
+    if draw(st.booleans()):  # a twin under the same id: only node order breaks the tie
+        twin = nodes[0]
+        nodes.append(WorkerNode(twin.id, twin.cpu, twin.memory, twin.power, twin.unit_cost,
+                                twin.time_const, executor=config.executor))
+    if draw(st.booleans()):
+        tasks[1] = replace(tasks[1], deadline=execution_time(rnd.choice(nodes), tasks[1]))
+    return config, nodes, tasks

@@ -218,6 +218,18 @@ def test_main_emits_requested_plots(tmp_path):
     assert os.path.exists(out / "memory_vs_tasks__vm.csv")
 
 
+def test_main_rejects_an_unknown_figure_before_the_sweep(tmp_path, capsys):
+    path = _write_config(tmp_path, {"num_devices": 2, "num_workers": 2})
+    out = tmp_path / "out"
+    code = main(["--config", path, "--sweep", "devices=2", "--seeds", "0", "--out", str(out),
+                 "--emit-plots", "fairness_table,bogus"])
+    assert code == EXIT_ENUM
+    assert capsys.readouterr().err == (
+        "unknown value: figure: must be one of ('completion_vs_devices', 'memory_vs_tasks', "
+        "'cpu_vs_tasks', 'fairness_table'), got 'bogus'\n")
+    assert not (out / "results.csv").exists()
+
+
 def test_main_rejects_the_completion_figure_over_a_strategy_sweep(tmp_path, capsys):
     path = _write_config(tmp_path, {"num_devices": 2, "num_workers": 2})
     code = main(["--config", path, "--sweep", "strategy=aucrac,mct", "--seeds", "0..1",

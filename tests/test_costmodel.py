@@ -4,9 +4,10 @@ The frozen constants were computed by hand from the weighted-ratio
 formula before these tests were written.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from aucrac.core import ResourceWeights, Task, WorkerNode, default_config
 from aucrac.costmodel import (deadline_eligibility, execution_cost,
@@ -14,7 +15,9 @@ from aucrac.costmodel import (deadline_eligibility, execution_cost,
                               valuation, valuation_unchecked)
 from aucrac.errors import InfeasibleError, InputError
 from aucrac.rng import new_rng
-from aucrac.sim import _Engine, left_sum, run_task_auction
+from aucrac.sim import left_sum, run_task_auction
+
+from reference_engine import market, over, same_round
 
 
 def _node(cpu=2.0, memory=3.0, power=4.0, unit_cost=1.0, time_const=5.0):
@@ -140,92 +143,11 @@ def test_cost_is_additive_across_weight_terms():
 
 # --- the engine's one-pass pricing ------------------------------------------
 
-_pos = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
-
-
-def _twin(node, node_id):
-    return WorkerNode(id=node_id, cpu=node.cpu, memory=node.memory, power=node.power,
-                      unit_cost=node.unit_cost, time_const=node.time_const)
-
-
-@st.composite
-def _market(draw):
-    """Nodes, a task, weights, a margin and a win rule, with the edge cases forced
-    often: a node whose capacity equals the demand in one dimension (ratio
-    exactly 1), a deadline equal to one node's execution time, and nodes
-    that tie on the ask, listed out of id order or sharing an id."""
-    task = _task(cycles=draw(_pos), memory=draw(_pos), power=draw(_pos),
-                 deadline=draw(st.floats(min_value=1e-3, max_value=1e4)))
-    n = draw(st.integers(min_value=1, max_value=8))
-    ids = draw(st.permutations([f"wn{i:03d}" for i in range(n)]))
-    nodes = []
-    for node_id in ids:
-        if nodes and draw(st.booleans()):
-            nodes.append(_twin(draw(st.sampled_from(nodes)), node_id))
-            continue
-        caps = [task.cycles * draw(st.floats(0.5, 4.0)), task.memory * draw(st.floats(0.5, 4.0)),
-                task.power * draw(st.floats(0.5, 4.0))]
-        edge = draw(st.integers(min_value=-1, max_value=2))
-        if edge >= 0:
-            caps[edge] = (task.cycles, task.memory, task.power)[edge]
-        nodes.append(WorkerNode(id=node_id, cpu=caps[0], memory=caps[1], power=caps[2],
-                                unit_cost=draw(_pos), time_const=draw(_pos)))
-    if draw(st.booleans()):
-        # a twin under the same id: only node order can break the tie
-        nodes.append(_twin(nodes[0], nodes[0].id))
-    if draw(st.booleans()):
-        task = _task(cycles=task.cycles, memory=task.memory, power=task.power,
-                     deadline=execution_time(draw(st.sampled_from(nodes)), task))
-    l1 = draw(st.floats(0.01, 0.98))
-    l2 = draw(st.floats(0.005, 0.99 - l1))
-    weights = ResourceWeights(lambda1=l1, lambda2=l2, lambda3=1.0 - l1 - l2,
-                              alpha1=draw(_pos), alpha2=draw(_pos), delta=draw(_pos))
-    margin = draw(st.sampled_from([0.0, 0.1]) | st.floats(0.0, 10.0))
-    win_rule = draw(st.sampled_from(["lowest", "highest"]))
-    return nodes, task, weights, margin, win_rule
-
-
-def _reference(nodes, task, weights, margin, win_rule):
-    # the per-node definition: the hosts that meet the deadline, best
-    # valuation first and ties to the smaller id, and the posted value,
-    # folded left to right as the engine must
-    hosts = []
-    for node in nodes:
-        try:
-            hosts.append((valuation(node, task, weights, margin), node))
-        except InfeasibleError:
-            continue
-    sign = 1.0 if win_rule == "lowest" else -1.0
-    ranking = sorted([h for h in hosts if deadline_eligibility(h[1], task)],
-                     key=lambda h: (sign * h[0], h[1].id))
-    asks = [ask for ask, _ in hosts] or [valuation_unchecked(n, task, weights, margin)
-                                         for n in nodes]
-    return ranking, left_sum(asks) / len(asks)
-
-
-def _given_nodes(nodes, config):
-    # an engine whose class index is built over the given nodes
-    return type("GivenNodes", (_Engine,), {"_build_nodes": lambda self: nodes})(config)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_market())
-def test_one_pass_pricing_equals_the_per_node_definition(market):
-    nodes, task, weights, margin, win_rule = market
-    want_ranking, want_mean = _reference(nodes, task, weights, margin, win_rule)
-    config = default_config(weights=weights, bid_margin=margin, win_rule=win_rule,
-                            strategy="auction_basic")
-    engine = _given_nodes(nodes, config)
-    assert engine._fill_value(task).value == want_mean
-    got = engine._take(task)
-    outcome = run_task_auction(task, nodes, config, 0.0)
-    # a twin may share its id, so a pick is compared by (ask, id)
-    if want_ranking:
-        ask, node = want_ranking[0]
-        assert (got[0], got[1].id) == (ask, node.id) == (outcome.payment, outcome.winner)
-    else:
-        assert got is None
-        assert outcome is None or outcome.winner is None
+@settings(max_examples=60, deadline=None)
+@given(market())
+def test_one_pass_pricing_equals_the_per_node_definition(drawn):
+    config, nodes, tasks = drawn
+    same_round(nodes, tasks, replace(config, strategy="auction_basic"))
 
 
 def test_one_pass_pricing_excludes_a_ratio_of_one_and_a_deadline_met_exactly():
@@ -242,7 +164,7 @@ def test_one_pass_pricing_excludes_a_ratio_of_one_and_a_deadline_met_exactly():
     # under the highest-ask rule b outbids c, so only its ineligibility lets c win
     config = default_config(weights=w, bid_margin=0.1, win_rule="highest",
                             strategy="auction_basic")
-    engine = _given_nodes(nodes, config)
+    engine = over(nodes)(config)
     hosted = [valuation(exact, task, w, 0.1), valuation(inside, task, w, 0.1)]
     assert hosted[0] > hosted[1]
     assert engine._fill_value(task).value == left_sum(hosted) / 2  # a stays out

@@ -5,22 +5,22 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aucrac.containers as ct
 import aucrac.sim as sim
-from aucrac.auction import allocate_tasks_literal
-from aucrac.core import (NodeTemplate, ResourceWeights, SimConfig, Task, WorkerNode,
+from aucrac.core import (STRATEGIES, NodeTemplate, ResourceWeights, Task, WorkerNode,
                          default_config, generate_workload)
-from aucrac.costmodel import execution_time, valuation, valuation_unchecked
-from aucrac.errors import (ConstraintError, InfeasibleError, InputError, PlacementRejected,
-                           StateError)
+from aucrac.costmodel import execution_time
+from aucrac.errors import ConstraintError, InputError, StateError
 from aucrac.rng import new_rng
 from aucrac.sim import (SimEvent, SimState, _percentile, assign, jain_fairness, left_sum,
                         mn_profit, parse_event_line, run, run_task_auction,
                         utilization_series)
 from aucrac.core import AuctionOutcome
+
+from reference_engine import market, same_round, same_run
 
 
 def _workload_of(tasks_per_device):
@@ -322,34 +322,13 @@ def test_profit_in_metrics_matches_a_log_recomputation():
     assert result.metrics.mn_profit == pytest.approx(expected, rel=1e-9)
 
 
-# --- the engine's pick against sealed-bid resolution ----------------------
+# --- the fast engine against the reference engine -------------------------
 
-def _engine_over(nodes, config):
-    # an engine whose class index is built over the given nodes
-    return type("GivenNodes", (sim._Engine,), {"_build_nodes": lambda self: nodes})(config)
-
-
-def _sealed_pick(task, nodes, config):
-    # what _take must return: the winner and payment of the sealed-bid auction
-    outcome = run_task_auction(task, nodes, config, 0.0)
-    if outcome is None or outcome.winner is None:
-        return None
-    return outcome.payment, next(n for n in nodes if n.id == outcome.winner)
-
-
-def _posted_value(task, nodes, config):
-    # the mean ask of the nodes that can host the task, or of every node
-    # at the unchecked price when none can; folded left to right
-    asks = []
-    for node in nodes:
-        try:
-            asks.append(valuation(node, task, config.weights, config.bid_margin))
-        except InfeasibleError:
-            continue
-    if not asks:
-        asks = [valuation_unchecked(node, task, config.weights, config.bid_margin)
-                for node in nodes]
-    return left_sum(asks) / len(asks)
+@settings(max_examples=60, deadline=None)
+@given(market())
+def test_class_pricing_equals_the_per_node_ranking(drawn):
+    config, nodes, tasks = drawn
+    same_round(nodes, tasks, replace(config, strategy="aucrac"))
 
 
 @pytest.mark.parametrize("strategy", ["aucrac", "auction_basic"])
@@ -366,144 +345,20 @@ def test_ranked_auction_picks_the_sealed_bid_winner(strategy, win_rule):
                         unit_cost=1.02, time_const=1.0),
              WorkerNode(id="wn001", cpu=1.2e10, memory=1024.0, power=400.0,
                         unit_cost=0.97, time_const=5.0)]
-    # low free memory makes some placements fail on three of the nodes
+    # a busy container leaves three of the nodes so little free memory
+    # that some placements fail on them
     for node, free in zip(nodes, (200.0, 300.0, 4096.0, 250.0)):
-        node.free_memory = free
-    engine = _engine_over(nodes, config)
-    by_id = {n.id: n for n in nodes}
-    seen = set()
-    for task in generate_workload(config, new_rng(3)):
-        engine._fill_value(task)
-        got = engine._take(task)
-        want = run_task_auction(task, nodes, config, 1.0)
-        if want is None:
-            assert got is None
-            seen.add("nobody bid")
-        elif want.winner is None:
-            assert got is None
-            seen.add(None)
-        else:
-            assert got == (want.payment, by_id[want.winner])
-            seen.add(want.winner)
-    assert {None, "wn004"} <= seen
-    assert ("nobody bid" in seen) == (strategy == "aucrac")
+        if free < node.memory:
+            ct.create_container(node, replace(_simple_task(cycles=1.0), memory=(
+                node.memory - free - node.executor.lib_overhead_mb)))
+    picks = same_round(nodes, list(generate_workload(config, new_rng(3))), config)
+    assert None in picks and "wn004" in {pick[1] for pick in picks if pick}
 
 
-# --- per-class pricing against the per-node definition --------------------
-
-def _open_ranks(cls):
-    # the definition: a free container, or room for the smallest slice
-    return [r for r, (_, _, node) in enumerate(cls.members)
-            if any(c.state == "free" for c in node.container_pool)
-            or node.free_compute >= node.executor.slice_granularity]
-
-
-@st.composite
-def _class_market(draw):
-    """A config, its nodes and tasks. The templates are one for all nodes,
-    one per node, or a few with repeats. Templates draw their capacities
-    from a pool of at most three and differ in time_const, and unit costs
-    come from a pool of at most three, so that asks tie both inside a
-    class and across classes. Some nodes hold a partly filled pool of
-    busy and free containers."""
-    win_rule = draw(st.sampled_from(["lowest", "highest"]))
-    config = default_config(win_rule=win_rule, bid_margin=draw(st.sampled_from([0.0, 0.1, 2.5])))
-    n = draw(st.sampled_from([2, 9, 1100]) | st.integers(2, 40))
-    rnd = draw(st.randoms(use_true_random=False))
-    kinds = draw(st.sampled_from(["one", "per_node", "few"]))
-    count = {"one": 1, "per_node": n, "few": rnd.randint(2, 6)}[kinds]
-    capacities = [(rnd.choice([1e9, 2e9, 5e9, 1.2e10]), rnd.choice([300.0, 4096.0, 16384.0]),
-                   rnd.choice([8.0, 200.0])) for _ in range(rnd.randint(1, 3))]
-    templates = [(*rnd.choice(capacities), rnd.choice([0.5, 5.0]) * (1 + i * 1e-4))
-                 for i in range(count)]
-    if kinds == "few":
-        templates += rnd.sample(templates, rnd.randint(0, len(templates)))  # repeats
-    costs = [rnd.choice([0.7, 1.0, 1.3]) for _ in range(rnd.randint(1, 3))]
-    ids = [f"wn{i:03d}" for i in range(n)]
-    rnd.shuffle(ids)
-    nodes = []
-    for i, node_id in enumerate(ids):
-        cpu, memory, power, time_const = templates[i % len(templates)]
-        node = WorkerNode(id=node_id, cpu=cpu, memory=memory, power=power,
-                          unit_cost=rnd.choice(costs), time_const=time_const,
-                          executor=config.executor)
-        for _ in range(rnd.choice([0, 0, 1, 3])):
-            filler = Task(id="f", data_in=1.0, data_out=0.5, cycles=rnd.uniform(1e8, 2e10),
-                          memory=rnd.uniform(10.0, 2000.0), power=1.0, deadline=10.0,
-                          td_max=rnd.uniform(2.0, 4.0))
-            try:
-                container = ct.create_container(node, filler)
-            except PlacementRejected:
-                continue
-            if rnd.random() < 0.5:
-                ct.release_container(node, container.id)
-        nodes.append(node)
-    tasks = generate_workload(replace(config, num_devices=3), new_rng(rnd.randint(0, 99)))
-    return config, nodes, tasks
-
-
-@settings(max_examples=60, deadline=None)
-@given(_class_market())
-def test_class_pricing_equals_the_per_node_ranking(market):
-    config, nodes, tasks = market
-    for strategy in ("aucrac", "auction_basic"):
-        config = replace(config, strategy=strategy)
-        engine = _engine_over(nodes, config)
-        for cls in engine.classes:
-            assert cls.open == _open_ranks(cls)
-        for task in tasks:
-            assert engine._fill_value(task).value == _posted_value(task, nodes, config)
-            assert engine._take(task) == _sealed_pick(task, nodes, config)
-
-
-class _CheckedEngine(sim._Engine):
-    """Checks every open list after every event, and each round's pick
-    against the sealed-bid auction of the same moment."""
-
-    def _check_invariants(self, now):
-        super()._check_invariants(now)
-        for cls in self.classes:
-            assert cls.open == _open_ranks(cls)
-            self.seen["closed"] += len(cls.members) - len(cls.open)
-
-    def _take(self, task):
-        got = super()._take(task)
-        assert got == _sealed_pick(task, self.nodes, self.config)
-        self.seen["taken" if got else "retried"] += 1
-        return got
-
-
-@pytest.mark.parametrize("templates", ["default", "one_per_node"])
-@pytest.mark.parametrize("win_rule", ["lowest", "highest"])
-def test_open_lists_follow_the_books_through_a_run(win_rule, templates):
-    config = default_config(num_devices=300, num_workers=20, win_rule=win_rule)
-    if templates == "one_per_node":
-        config = replace(config, node_templates=tuple(
-            NodeTemplate(cpu=2e9 + i * 5e8, memory_mb=4096.0, power_w=100.0)
-            for i in range(20)))
-    engine = _CheckedEngine(config)
-    engine.seen = {"closed": 0, "taken": 0, "retried": 0}
-    result = engine.run()
-    assert result.log_lines == run(config).log_lines
-    # some nodes were closed, and rounds both placed and retried
-    assert min(engine.seen.values()) > 0
-
-
-class _LiteralCheckedEngine(sim._Engine):
-    """Replays the batch procedure at every literal round, its standing
-    bids carried from round to round, and checks the engine's pick."""
-
-    def _literal_round(self, task):
-        payment, node = super()._literal_round(task)
-        asks = [valuation_unchecked(n, task, self.config.weights, self.config.bid_margin)
-                for n in self.nodes]
-        alloc = allocate_tasks_literal(asks, [task], initial_bids=self.bids)
-        self.bids = list(alloc.bids)
-        assert node is self.nodes[alloc.order[alloc.assignments[0]]]
-        assert payment == task.value
-        self.seen["positive" if task.value > 0 else "zero"] += 1
-        self.seen["nan_asks"] += any(a != a for a in asks)
-        return payment, node
+# short TTL, short retries and one requeue: reaps, retries and failures
+_SHORT_TTL = default_config(num_devices=150, num_workers=8, retry_interval_s=0.3,
+                            executor=replace(default_config().executor, idle_ttl_s=0.5,
+                                             max_requeues=1))
 
 
 def _literal_configs():
@@ -524,23 +379,77 @@ def _literal_configs():
         yield pytest.param(replace(tiny, strategy=strategy, node_templates=(
             NodeTemplate(cpu=1e-300, unit_cost=1e-300),) + base.node_templates), "nan_asks",
             id=f"{strategy}-nan-asks")
-    yield pytest.param(replace(base, num_devices=150, num_workers=8, retry_interval_s=0.3,
-                               executor=replace(base.executor, idle_ttl_s=0.5, max_requeues=1)),
-                       "positive", id="aucrac-short-ttl")
+    yield pytest.param(replace(_SHORT_TTL, auction_mode="literal"), "positive",
+                       id="aucrac-short-ttl")
 
 
 @pytest.mark.parametrize("config, shows", _literal_configs())
 def test_literal_round_picks_the_batch_procedures_node(config, shows):
-    engine = _LiteralCheckedEngine(config)
-    engine.bids = None
-    engine.seen = {"positive": 0, "zero": 0, "nan_asks": 0}
-    result = engine.run()
-    assert result.log_lines == run(config).log_lines
-    assert engine.seen[shows] > 0
+    seen = same_run(config).seen
+    assert seen[shows] > 0
     if shows == "zero":
-        assert engine.seen["positive"] == 0  # ties fall to the first position
+        assert seen["positive"] == 0  # ties fall to the first position
     if shows == "nan_asks":
-        assert engine.seen["positive"] > 0
+        assert seen["positive"] > 0
+
+
+@st.composite
+def _run_configs(draw):
+    """Either mode and win rule over up to 300 devices and 50 workers.
+    Templates are one for all nodes, one per node, or a few with repeats,
+    drawn from small pools; TTLs run short and max_requeues from 0 to 3."""
+    workers = draw(st.integers(2, 50))
+    rnd = draw(st.randoms(use_true_random=True))
+    kinds = draw(st.sampled_from(["one", "per_node", "few"]))
+    templates = [NodeTemplate(cpu=rnd.choice([1e9, 2e9, 5e9, 1.2e10]),
+                              memory_mb=rnd.choice([300.0, 4096.0, 16384.0]),
+                              power_w=rnd.choice([8.0, 200.0]),
+                              unit_cost=rnd.choice([0.7, 1.0]),
+                              time_const_s=rnd.choice([0.5, 5.0]),
+                              executor_mode=rnd.choice(["container", "vm"]))
+                 for _ in range({"one": 1, "per_node": workers, "few": rnd.randint(2, 5)}[kinds])]
+    if kinds == "few":
+        templates += rnd.sample(templates, rnd.randint(1, len(templates)))  # repeats
+    executor = replace(default_config().executor,
+                       idle_ttl_s=draw(st.sampled_from([0.2, 0.5, 4.0])),
+                       max_requeues=draw(st.integers(0, 3)))
+    return default_config(
+        seed=draw(st.integers(0, 2**16)), num_devices=draw(st.integers(1, 300)),
+        num_workers=workers,
+        auction_mode=draw(st.sampled_from(["repaired", "literal"])),
+        win_rule=draw(st.sampled_from(["lowest", "highest"])),
+        retry_interval_s=draw(st.sampled_from([0.3, 2.0])),
+        executor=executor, node_templates=tuple(templates))
+
+
+# wn101 and wn1000 alone can host a task, and tie at a zero ask: past wn999
+# the string order of node ids, which breaks the tie, leaves node order
+_UNFIT = NodeTemplate(cpu=1e-3, unit_cost=1e-300)  # no task fits its cpu
+_PAST_WN999 = default_config(
+    num_devices=2, num_workers=1001, weights=ResourceWeights(delta=1e-300),
+    node_templates=(_UNFIT,) * 101 + (NodeTemplate(unit_cost=1e-300),) + (_UNFIT,) * 797)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@settings(max_examples=3, deadline=None)
+@given(_run_configs())
+@example(_SHORT_TTL)
+@example(_PAST_WN999)
+def test_the_fast_engine_runs_as_the_reference_engine(strategy, config):
+    same_run(replace(config, strategy=strategy))
+
+
+@pytest.mark.parametrize("templates", ["default", "one_per_node"])
+@pytest.mark.parametrize("win_rule", ["lowest", "highest"])
+def test_open_lists_follow_the_books_through_a_run(win_rule, templates):
+    config = default_config(num_devices=300, num_workers=20, win_rule=win_rule)
+    if templates == "one_per_node":
+        config = replace(config, node_templates=tuple(
+            NodeTemplate(cpu=2e9 + i * 5e8, memory_mb=4096.0, power_w=100.0)
+            for i in range(20)))
+    seen = same_run(config).seen
+    # some nodes were closed, and rounds both placed and retried
+    assert min(seen["closed"], seen["taken"], seen["retried"]) > 0
 
 
 # --- the event heap -------------------------------------------------------
@@ -551,10 +460,7 @@ def _heap_configs():
         yield replace(base, strategy=strategy)
     for strategy in ("aucrac", "auction_basic"):
         yield replace(base, strategy=strategy, auction_mode="literal")
-        # short TTL, short retries and one requeue: reaps, retries and failures
-        yield replace(base, strategy=strategy, num_devices=150, num_workers=8,
-                      retry_interval_s=0.3,
-                      executor=replace(base.executor, idle_ttl_s=0.5, max_requeues=1))
+        yield replace(_SHORT_TTL, strategy=strategy)
 
 
 def test_no_two_pending_events_share_time_rank_and_task(monkeypatch):
@@ -584,32 +490,36 @@ def test_no_two_pending_events_share_time_rank_and_task(monkeypatch):
 
 # --- the books check ------------------------------------------------------
 
-# the event time each corrupting call reveals: release and reap are passed
-# it, and the first create happens in the first round of the task it places
-EVENT_TIME = {
-    "create_container": lambda task: task.arrival_time,
-    "release_container": lambda container_id, now: now,
-    "reap_idle": lambda now: now,
-}
+_AT_1E11 = default_config(num_devices=20, node_templates=(NodeTemplate(memory_mb=1e11),))
 
 
-@pytest.mark.parametrize("name", sorted(EVENT_TIME))
+@pytest.mark.parametrize("name", ["create_container", "release_container", "reap_idle"])
 def test_books_check_trips_on_the_event_that_corrupts_a_node(monkeypatch, name):
     real = getattr(ct, name)
-    corrupted = []
 
     def corrupting(node, *args):
         out = real(node, *args)
-        if out and not corrupted:  # an empty reap leaves the node untouched
-            node.free_memory -= 1.0
-            corrupted.append((node.id, EVENT_TIME[name](*args)))
+        if out:  # an empty reap leaves the node untouched
+            node.free_memory -= 1e-6 * node.memory
         return out
 
     monkeypatch.setattr(ct, name, corrupting)
-    with pytest.raises(StateError) as err:
-        run(default_config(strategy="aucrac", seed=0))
-    node_id, when = corrupted[0]
-    assert str(err.value) == f"node {node_id}: container memory books disagree at t={when!r}"
+    # the reference engine checks every node after every event
+    with pytest.raises(StateError, match=r"container memory books disagree at t=\d"):
+        same_run(_AT_1E11)
+
+
+@pytest.mark.parametrize("config", [
+    *(default_config(num_devices=300, num_workers=20, node_templates=(NodeTemplate(memory_mb=m),),
+                     executor=replace(default_config().executor, idle_ttl_s=0.5))
+      for m in (1e10, 1e11, 1e15)),
+    _AT_1E11,
+    # one container takes all of a node's memory and compute
+    default_config(workload=replace(default_config().workload, memory_mb=(64.0, 64.0)),
+                   node_templates=(NodeTemplate(cpu=2e9, memory_mb=84.0),)),
+], ids=["1e10", "1e11", "1e15", "1e11-few-devices", "one-container"])
+def test_books_hold_at_any_node_capacity(config):
+    assert any("destroyed=1" in ln for ln in run(config).log_lines)
 
 
 def test_end_of_run_scan_catches_a_node_no_event_touches(monkeypatch):
