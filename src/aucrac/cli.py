@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .containers import memory_footprint
-from .core import (STRATEGIES, SimConfig, WorkerNode, _in_enum, config_from_json,
+from .core import (STRATEGIES, SimConfig, WorkerNode, _in_enum, _integer, config_from_json,
                    default_config)
 from .errors import (AucracError, ConstraintError, InputError, SchemaError,
                      UnknownEnumError)
@@ -62,8 +62,7 @@ class ExperimentSpec:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.sweep_var not in SWEEP_VARS:
-            raise UnknownEnumError("sweep_var", f"must be one of {SWEEP_VARS}, got {self.sweep_var!r}")
+        _in_enum("sweep_var", self.sweep_var, SWEEP_VARS)
         if not self.sweep_values:
             raise ConstraintError("sweep_values", "must be non-empty")
         if not self.seeds:
@@ -71,10 +70,8 @@ class ExperimentSpec:
         if len(set(self.seeds)) != len(self.seeds):
             raise ConstraintError("seeds", "must be distinct")
         for s in self.strategies:
-            if s not in STRATEGIES:
-                raise UnknownEnumError("strategy", f"must be one of {STRATEGIES}, got {s!r}")
-        if not isinstance(self.jobs, int) or isinstance(self.jobs, bool) or self.jobs < 1:
-            raise ConstraintError("jobs", "must be a positive integer")
+            _in_enum("strategy", s, STRATEGIES)
+        _integer("jobs", self.jobs, 1)
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
         object.__setattr__(self, "strategies", tuple(self.strategies))
         object.__setattr__(self, "seeds", tuple(self.seeds))
@@ -196,8 +193,7 @@ def emit_plot_data(results_csv: str, figure: str, out_dir: str | None = None) ->
     memory and CPU versus task count figures come from the executor load
     model evaluated at the default settings, one series per executor mode.
     """
-    if figure not in FIGURES:
-        raise UnknownEnumError("figure", f"must be one of {FIGURES}, got {figure!r}")
+    _in_enum("figure", figure, FIGURES)
     rows = _read_results(results_csv)
     if out_dir is None:
         out_dir = os.path.dirname(os.path.abspath(results_csv))
@@ -212,6 +208,9 @@ def emit_plot_data(results_csv: str, figure: str, out_dir: str | None = None) ->
                 fh.write(f"{_fmt(x)},{_fmt(y)}\n")
         written.append(path)
 
+    def order(strategy):  # strategies this version does not know go last
+        return (STRATEGIES.index(strategy) if strategy in STRATEGIES else len(STRATEGIES), strategy)
+
     if figure == "completion_vs_devices":
         series = {}
         for r in rows:
@@ -221,9 +220,7 @@ def emit_plot_data(results_csv: str, figure: str, out_dir: str | None = None) ->
                 raise InputError(f"figure {figure} needs a numeric sweep, got "
                                  f"{r['sweep_var']}={r['sweep_value']}") from None
             series.setdefault((r["strategy"], x), []).append(float(r["mean_completion_s"]))
-        strategies = sorted({s for s, _ in series}, key=lambda s: (STRATEGIES.index(s)
-                            if s in STRATEGIES else len(STRATEGIES), s))
-        for strategy in strategies:
+        for strategy in sorted({s for s, _ in series}, key=order):
             pairs = sorted((x, left_sum(v) / len(v)) for (s, x), v in series.items()
                            if s == strategy)
             write_series(f"completion_vs_devices__{strategy}", pairs)
@@ -234,8 +231,7 @@ def emit_plot_data(results_csv: str, figure: str, out_dir: str | None = None) ->
         path = os.path.join(out_dir, "fairness_table.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("strategy,fairness_jain_mean\n")
-            for strategy in sorted(by_strategy, key=lambda s: (STRATEGIES.index(s)
-                                   if s in STRATEGIES else len(STRATEGIES), s)):
+            for strategy in sorted(by_strategy, key=order):
                 vals = by_strategy[strategy]
                 fh.write(f"{strategy},{_fmt(left_sum(vals) / len(vals))}\n")
         written.append(path)
@@ -325,14 +321,16 @@ def main(argv=None) -> int:
         if args.sweep:
             sweep_var, sweep_values = _parse_sweep(args.sweep)
         seeds = _parse_seeds(args.seeds) if args.seeds else tuple(range(30))
-        figures = ()
+        unplottable = "completion_vs_devices" if sweep_var == "strategy" else None
         if args.emit_plots == "all":  # every figure the sweep supports
-            skip = "completion_vs_devices" if sweep_var == "strategy" else None
-            figures = tuple(f for f in FIGURES if f != skip)
-        elif args.emit_plots:
-            figures = tuple(f.strip() for f in args.emit_plots.split(",") if f.strip())
-            for figure in figures:  # a typo fails before the sweep, not after it
-                _in_enum("figure", figure, FIGURES)
+            figures = tuple(f for f in FIGURES if f != unplottable)
+        else:
+            figures = tuple(f.strip() for f in (args.emit_plots or "").split(",") if f.strip())
+        for figure in figures:  # a bad figure fails before the sweep, not after it
+            _in_enum("figure", figure, FIGURES)
+            if figure == unplottable:
+                raise InputError(f"figure {figure} needs a numeric sweep, got "
+                                 f"{sweep_var}={sweep_values[0]}")
         spec = ExperimentSpec(base=config, sweep_var=sweep_var, sweep_values=sweep_values,
                               strategies=strategies, seeds=seeds, out_dir=args.out,
                               jobs=args.jobs)

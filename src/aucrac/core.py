@@ -41,6 +41,13 @@ def _non_negative(name, value):
         raise ConstraintError(name, f"must be a non-negative finite number, got {value!r}")
 
 
+def _integer(name, value, minimum=None):
+    if not isinstance(value, int) or isinstance(value, bool) or (minimum is not None and value < minimum):
+        kind = {None: "an integer", 0: "a non-negative integer",
+                1: "a positive integer"}.get(minimum, f"an integer >= {minimum}")
+        raise ConstraintError(name, f"must be {kind}")
+
+
 def _in_enum(name, value, allowed):
     if value not in allowed:
         raise UnknownEnumError(name, f"must be one of {allowed}, got {value!r}")
@@ -135,8 +142,7 @@ class ExecutorConfig:
         _non_negative("executor.base_footprint_mb", self.base_footprint_mb)
         _positive("executor.slice_granularity", self.slice_granularity)
         _positive("executor.idle_ttl_s", self.idle_ttl_s)
-        if not isinstance(self.max_requeues, int) or isinstance(self.max_requeues, bool) or self.max_requeues < 0:
-            raise ConstraintError("executor.max_requeues", "must be a non-negative integer")
+        _integer("executor.max_requeues", self.max_requeues, 0)
         _positive("executor.task_memory_mb", self.task_memory_mb)
         _positive("executor.cpu_share_per_task", self.cpu_share_per_task)
         _non_negative("executor.vm_cpu_overhead_frac", self.vm_cpu_overhead_frac)
@@ -358,8 +364,7 @@ class WorkloadSpec:
 
     def __post_init__(self):
         _positive("workload.arrival_rate_hz", self.arrival_rate_hz)
-        if not isinstance(self.tasks_per_device, int) or isinstance(self.tasks_per_device, bool) or self.tasks_per_device < 0:
-            raise ConstraintError("workload.tasks_per_device", "must be a non-negative integer")
+        _integer("workload.tasks_per_device", self.tasks_per_device, 0)
         for name in ("mix_lit", "mix_mit", "mix_hit"):
             _non_negative(f"workload.{name}", getattr(self, name))
         total = self.mix_lit + self.mix_mit + self.mix_hit
@@ -403,12 +408,9 @@ class SimConfig:
     )
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConstraintError("seed", "must be an integer")
-        if not isinstance(self.num_devices, int) or isinstance(self.num_devices, bool) or self.num_devices < 0:
-            raise ConstraintError("num_devices", "must be a non-negative integer")
-        if not isinstance(self.num_workers, int) or isinstance(self.num_workers, bool) or self.num_workers < 2:
-            raise ConstraintError("num_workers", "must be an integer >= 2")
+        _integer("seed", self.seed)
+        _integer("num_devices", self.num_devices, 0)
+        _integer("num_workers", self.num_workers, 2)
         _in_enum("strategy", self.strategy, STRATEGIES)
         _in_enum("auction_mode", self.auction_mode, AUCTION_MODES)
         _in_enum("win_rule", self.win_rule, WIN_RULES)

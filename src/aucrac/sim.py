@@ -27,13 +27,21 @@ from .rng import Rng, new_rng
 # releases resolve ahead of the starts scheduled for the same time.
 ARRIVAL, ROUND, FINISH, RELEASE, START = range(5)
 
-# one log line from (time, kind, task id, node id, container id, detail)
+# a log line from (time, kind, task id, node id, container id, detail), and one format per kind
 _LINE = "%r,%s,%s,%s,%s,%s"
+_ARRIVED = "%r,task_arrival,%s,,,class=%s"
+_ASSIGNED = "%r,auction_round,%s,%s,,result=assigned;winner=%s;payment=%r"
+_RETRIED = "%r,auction_round,%s,,,result=retry;attempt=%d"
+_FAILED = "%r,auction_round,%s,,,result=failed_to_place"
+_STARTED = "%r,exec_start,%s,%s,%s,cc=%r;ei=%r;mem=%r;created=%d"
+_FINISHED = "%r,exec_finish,%s,%s,%s,cc=%r;mem=%r;completion=%r"
+_RELEASED = "%r,container_release,%s,%s,%s,cc=%r;mem=%r;from=busy;destroyed=0"
+_REAPED = "%r,container_release,,%s,%s,cc=%r;mem=%r;from=free;destroyed=1"
 
 
 @dataclass(frozen=True)
 class SimEvent:
-    """One log record. Everything the run did is reconstructable from these."""
+    """One log line, parsed. Everything the run did is reconstructable from these."""
 
     time: float
     kind: str
@@ -183,8 +191,7 @@ def _check_books(nodes, when: str):
 
 
 class _Records(list):
-    """The engine's raw log: one (time, kind, task id, node id, container
-    id, detail) tuple per event, formatted only if someone reads it."""
+    """The engine's raw log: one (format, values) record per event."""
 
     __slots__ = ()
 
@@ -205,7 +212,7 @@ class _LogLines:
             raise AttributeError(self.name)
         value = obj.__dict__[self.name]
         if type(value) is _Records:
-            value = tuple(map(_LINE.__mod__, value))
+            value = tuple(fmt % values for fmt, values in value)
             obj.__dict__[self.name] = value
         return value
 
@@ -336,9 +343,6 @@ class _Engine:
                 self.node_class[i] = k
 
     # -- event plumbing ----------------------------------------------------
-
-    def _log(self, time, kind, task_id="", node_id="", container_id="", detail=""):
-        self.log.append((time, kind, task_id, node_id, container_id, detail))
 
     def _cpu_change(self, node_id: str, delta: float, now: float):
         node = self.node_by_id[node_id]
@@ -476,7 +480,7 @@ class _Engine:
         task = self.tasks[task_id]
         if self.config.strategy in ("aucrac", "auction_basic"):
             self._fill_value(task)
-        self._log(now, "task_arrival", task_id=task_id, detail=f"class={task.intensity}")
+        self.log.append((_ARRIVED, (now, task_id, task.intensity)))
         heapq.heappush(self.heap, (now, ROUND, task_id))
 
     def _retry(self, now: float, task: Task):
@@ -485,9 +489,9 @@ class _Engine:
         if count > self.config.executor.max_requeues:
             self.failed.add(task.id)
             del self.offers[task.id]
-            self._log(now, "auction_round", task_id=task.id, detail="result=failed_to_place")
+            self.log.append((_FAILED, (now, task.id)))
         else:
-            self._log(now, "auction_round", task_id=task.id, detail=f"result=retry;attempt={count}")
+            self.log.append((_RETRIED, (now, task.id, count)))
             heapq.heappush(self.heap, (now + self.config.retry_interval_s, ROUND, task.id))
 
     def _commit_whole_node(self, now: float, task: Task, node: WorkerNode) -> tuple:
@@ -529,13 +533,15 @@ class _Engine:
         while self.freed and now - self.freed[0][0] >= ttl:
             due.add(self.freed.popleft()[1])
         for i in sorted(due):
-            node = self.nodes[i]
-            reaped = ct.reap_idle(node, now)
-            if reaped:
-                self._touch(node)
+            self._reap_node(self.nodes[i], now)
+
+    def _reap_node(self, node: WorkerNode, now: float) -> int:
+        reaped = ct.reap_idle(node, now)
+        if reaped:
+            self._touch(node)
             for gone in reaped:
-                self._log(now, "container_release", node_id=node.id, container_id=gone.id,
-                          detail=f"cc={gone.compute!r};mem={gone.memory!r};from=free;destroyed=1")
+                self.log.append((_REAPED, (now, node.id, gone.id, gone.compute, gone.memory)))
+        return len(reaped)
 
     def _literal_round(self, task: Task) -> tuple:
         # allocate_tasks_literal's pick, bids carried across rounds, in closed
@@ -573,8 +579,7 @@ class _Engine:
         self.payments[task_id] = payment
         heapq.heappush(self.heap, (span[0], START, task_id))
         heapq.heappush(self.heap, (span[1], FINISH, task_id))
-        self._log(now, "auction_round", task_id=task_id, node_id=node.id,
-                  detail=f"result=assigned;winner={node.id};payment={payment!r}")
+        self.log.append((_ASSIGNED, (now, task_id, node.id, node.id, payment)))
 
     def _handle_exec_start(self, now: float, task_id: str):
         node_id, container_id, cc, mem, created = self.pending_exec[task_id]
@@ -584,9 +589,8 @@ class _Engine:
         if not container_id:  # a container's memory was sampled when it was created
             self.whole_mem[node_id] += mem
             self._touch_mem(node_id)
-        self._log(now, "exec_start", task_id=task_id, node_id=node_id,
-                  container_id=container_id,
-                  detail=f"cc={cc!r};ei={node.cpu!r};mem={mem!r};created={created}")
+        self.log.append((_STARTED, (now, task_id, node_id, container_id, cc, node.cpu, mem,
+                                    created)))
 
     def _handle_exec_finish(self, now: float, task_id: str):
         node_id, container_id, cc, mem, _created = self.pending_exec[task_id]
@@ -599,9 +603,7 @@ class _Engine:
             self.whole_mem[node_id] -= mem
         else:
             heapq.heappush(self.heap, (now, RELEASE, task_id))
-        self._log(now, "exec_finish", task_id=task_id, node_id=node_id,
-                  container_id=container_id,
-                  detail=f"cc={cc!r};mem={mem!r};completion={completion!r}")
+        self.log.append((_FINISHED, (now, task_id, node_id, container_id, cc, mem, completion)))
 
     def _handle_release(self, now: float, task_id: str):
         node_id, container_id, cc, mem, _created = self.pending_exec[task_id]
@@ -610,9 +612,7 @@ class _Engine:
         self.freed.append((now, self.node_index[node_id]))
         self._touch(node)
         self._cpu_change(node_id, -cc, now)
-        self._log(now, "container_release", task_id=task_id, node_id=node_id,
-                  container_id=container_id,
-                  detail=f"cc={cc!r};mem={mem!r};from=busy;destroyed=0")
+        self.log.append((_RELEASED, (now, task_id, node_id, container_id, cc, mem)))
 
     # -- main loop ---------------------------------------------------------
 

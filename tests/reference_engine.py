@@ -80,13 +80,7 @@ class ReferenceEngine(sim._Engine):
     def _reap(self, now):
         self.freed.clear()  # the fast path's queue of due nodes
         for node in self.nodes:
-            reaped = ct.reap_idle(node, now)
-            if reaped:
-                self._touch(node)
-            self.seen["reaped"] += len(reaped)
-            for gone in reaped:
-                self._log(now, "container_release", node_id=node.id, container_id=gone.id,
-                          detail=f"cc={gone.compute!r};mem={gone.memory!r};from=free;destroyed=1")
+            self.seen["reaped"] += self._reap_node(node, now)
 
     def _check_invariants(self, now):
         self.touched.clear()  # every node is checked, not only those the event touched

@@ -240,6 +240,17 @@ def test_main_rejects_the_completion_figure_over_a_strategy_sweep(tmp_path, caps
             "got strategy=aucrac\n") in capsys.readouterr().err
 
 
+def test_main_rejects_the_completion_figure_before_a_strategy_sweep_runs(tmp_path, capsys):
+    path = _write_config(tmp_path, {"num_devices": 2, "num_workers": 2})
+    out = tmp_path / "out"
+    code = main(["--config", path, "--sweep", "strategy=aucrac,mct", "--seeds", "0..1",
+                 "--out", str(out), "--emit-plots", "completion_vs_devices"])
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err == ("runtime error: figure completion_vs_devices needs a "
+                                       "numeric sweep, got strategy=aucrac\n")
+    assert not (out / "results.csv").exists()
+
+
 def test_main_all_plots_over_a_strategy_sweep_skips_the_completion_figure(tmp_path):
     path = _write_config(tmp_path, {"num_devices": 2, "num_workers": 2})
     out = tmp_path / "out"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aucrac.cli import ExperimentSpec
 from aucrac.core import (AuctionOutcome, Bid, ExecutorConfig, MetricsRecord,
                          NodeTemplate, ResourceWeights, SimConfig, Task,
                          WorkerNode, WorkloadSpec, _class_counts,
@@ -189,6 +190,29 @@ def test_sim_config_rejects_negative_horizon_but_allows_zero():
 def test_sim_config_rejects_bool_masquerading_as_int():
     with pytest.raises(ConstraintError):
         SimConfig(seed=True)
+
+
+_INTEGER_FIELDS = {  # name -> (build with the value, message, minimum)
+    "seed": (lambda v: SimConfig(seed=v), "must be an integer", None),
+    "num_devices": (lambda v: SimConfig(num_devices=v), "must be a non-negative integer", 0),
+    "num_workers": (lambda v: SimConfig(num_workers=v), "must be an integer >= 2", 2),
+    "executor.max_requeues": (lambda v: ExecutorConfig(max_requeues=v),
+                              "must be a non-negative integer", 0),
+    "workload.tasks_per_device": (lambda v: WorkloadSpec(tasks_per_device=v),
+                                  "must be a non-negative integer", 0),
+    "jobs": (lambda v: ExperimentSpec(base=SimConfig(), jobs=v), "must be a positive integer", 1),
+}
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, value) for name, (_, _, minimum) in _INTEGER_FIELDS.items()
+    for value in (True, 2.0) + (() if minimum is None else (minimum - 1,))])
+def test_integer_fields_reject_bools_floats_and_values_below_their_minimum(name, value):
+    build, message, _ = _INTEGER_FIELDS[name]
+    with pytest.raises(ConstraintError) as caught:
+        build(value)
+    assert type(caught.value) is ConstraintError
+    assert str(caught.value) == f"{name}: {message}"
 
 
 def test_default_config_applies_overrides():

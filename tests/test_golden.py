@@ -15,6 +15,7 @@ import pytest
 from aucrac import default_config, run
 from aucrac.cli import ExperimentSpec, run_experiment
 from aucrac.core import STRATEGIES, NodeTemplate
+from aucrac.sim import _detail_map, parse_event_line
 
 CASES = {f"{s}/seed={seed}": dict(strategy=s, seed=seed)
          for s in STRATEGIES for seed in (0, 1)}
@@ -110,6 +111,21 @@ def test_the_large_case_exercises_retries_failures_and_reaps():
     assert any("result=retry" in ln for ln in lines)
     assert any("result=failed_to_place" in ln for ln in lines)
     assert any("destroyed=1" in ln for ln in lines)
+
+
+def test_the_golden_runs_parse_back_and_show_every_line_kind():
+    # with the digests, this pins every format the engine logs with
+    kinds = set()
+    for name in ("aucrac/300x20", "auction_basic/auction_mode=literal"):
+        for line in _run(name).log_lines:
+            event = parse_event_line(line)
+            assert event.line() == line
+            detail = _detail_map(event.detail)
+            kinds.add((event.kind, detail.get("result", detail.get("from"))))
+    assert kinds == {("task_arrival", None), ("auction_round", "assigned"),
+                     ("auction_round", "retry"), ("auction_round", "failed_to_place"),
+                     ("exec_start", None), ("exec_finish", None),
+                     ("container_release", "busy"), ("container_release", "free")}
 
 
 # the CLI's CSV formatting and seed aggregation over a small sweep:

@@ -220,7 +220,8 @@ def test_log_lines_are_formatted_once_from_the_engine_records():
     lines = result.log_lines
     assert result.log_lines is lines  # formatted on the first read only
     assert type(vars(result)["log_lines"]) is tuple  # the raw records are dropped
-    assert list(lines) == [SimEvent(*record).line() for record in engine.log]
+    assert len(lines) == len(engine.log)  # one line per event
+    assert [parse_event_line(ln).line() for ln in lines] == list(lines)
     assert lines == run(default_config(num_devices=6, seed=3)).log_lines
 
 
@@ -550,9 +551,11 @@ def test_reaping_follows_the_idle_ttl_boundary_of_reap_idle():
     # idle for exactly one TTL: reap_idle destroys it, so the engine must ask
     engine._reap(1.0 + ttl)
     assert node.container_pool == []
-    # a raw log record is (time, kind, task id, node id, container id, detail)
-    assert engine.log[-1][1] == "container_release"
-    assert engine.log[-1][5].endswith("from=free;destroyed=1")
+    lines = sim.SimResult(metrics=None, log_lines=engine.log, tasks=(), nodes=()).log_lines
+    reaped = parse_event_line(lines[-1])
+    assert (reaped.kind, reaped.node_id, reaped.container_id) == ("container_release", node.id,
+                                                                  container.id)
+    assert reaped.detail.endswith("from=free;destroyed=1")
 
 
 # --- posted values and payments -------------------------------------------
