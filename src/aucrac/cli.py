@@ -63,12 +63,13 @@ class ExperimentSpec:
 
     def __post_init__(self):
         _in_enum("sweep_var", self.sweep_var, SWEEP_VARS)
-        if not self.sweep_values:
-            raise ConstraintError("sweep_values", "must be non-empty")
-        if not self.seeds:
-            raise ConstraintError("seeds", "must be non-empty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConstraintError("seeds", "must be distinct")
+        for name in ("sweep_values", "seeds"):
+            if not getattr(self, name):
+                raise ConstraintError(name, "must be non-empty")
+        for name in ("sweep_values", "strategies", "seeds"):  # a repeat merges aggregate groups
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConstraintError(name, "must be distinct")
         for s in self.strategies:
             _in_enum("strategy", s, STRATEGIES)
         _integer("jobs", self.jobs, 1)

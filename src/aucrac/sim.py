@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from . import containers as ct
 from .auction import mn_revenue, run_sealed_auction
@@ -156,7 +156,11 @@ def run_task_auction(task: Task, nodes, config: SimConfig, now: float) -> Auctio
 
 
 def assign(strategy: str, task: Task, nodes, rng: Rng, state: SimState) -> str:
-    """Pick the executing node for one task under a whole-node strategy."""
+    """Pick the executing node for one task under a whole-node strategy.
+
+    The definition of a whole-node pick; the engine's queues reproduce it
+    for `mct` and `greedy` without a pass over every node.
+    """
     if strategy == "random":
         return rng.choice(nodes).id
     if strategy == "round_robin":
@@ -250,6 +254,25 @@ class _NodeClass:
         self.open = open_ranks
 
 
+class _Queue:
+    """The nodes that share (cpu, time_const), under `mct` or `greedy`.
+
+    They share `execution_time` and `cpu`, the only node fields either pick
+    reads, so a pick needs from each class only its idle nodes and its
+    soonest-free busy ones. A node's rank is its place in the order that
+    breaks the pick's ties: node id for `mct`, node position for `greedy`.
+    `idle` holds the ranks of the members free by the last pick's time,
+    sorted; `busy` holds (available_at, rank) of the others, sorted.
+    """
+
+    __slots__ = ("head", "idle", "busy")
+
+    def __init__(self, head: WorkerNode):
+        self.head = head
+        self.idle = []
+        self.busy = []
+
+
 def _is_open(node: WorkerNode) -> bool:
     if node.free_compute >= node.executor.slice_granularity:
         return True
@@ -267,7 +290,8 @@ class _Engine:
                  "node_by_id", "node_index", "ucd", "classes", "slot", "node_class", "tasks",
                  "state", "heap", "log", "payments", "retries", "pending_exec", "finished",
                  "failed", "arrived", "per_node_tasks", "whole_mem", "peak_mem", "busy_cc",
-                 "cpu_acc", "cpu_last", "last_time", "offers", "freed", "touched")
+                 "cpu_acc", "cpu_last", "last_time", "offers", "freed", "touched", "queues",
+                 "home", "ranked", "fallback")
 
     def __init__(self, config: SimConfig):
         self.config = config
@@ -282,6 +306,9 @@ class _Engine:
         self.node_index = {n.id: i for i, n in enumerate(self.nodes)}
         if config.strategy in ("aucrac", "auction_basic"):
             self._index_classes()  # only the auctions price a task per node class
+        self.home = None  # node id -> (queue, rank), for the picks that keep queues
+        if config.strategy in ("mct", "greedy"):
+            self._index_queues()
         self.tasks = {}
         self.state = SimState()
         self.heap = []
@@ -341,6 +368,22 @@ class _Engine:
             for r, i in enumerate(positions):
                 self.slot[nodes[i].id] = [cls, r, flags[r]]
                 self.node_class[i] = k
+
+    def _index_queues(self):
+        nodes = self.nodes
+        order = range(len(nodes))
+        if self.config.strategy == "mct":
+            order = sorted(order, key=lambda i: (nodes[i].id, i))
+        self.ranked = [nodes[i] for i in order]  # node by rank
+        queues = {}
+        self.home = {}
+        for r, node in enumerate(self.ranked):  # every node is idle at time 0
+            q = queues.setdefault((node.cpu, node.time_const), _Queue(node))
+            q.idle.append(r)
+            self.home[node.id] = (q, r)
+        self.queues = list(queues.values())
+        # greedy's pick while every node is busy: the first largest cpu
+        self.fallback = max(nodes, key=attrgetter("cpu"))
 
     # -- event plumbing ----------------------------------------------------
 
@@ -496,11 +539,65 @@ class _Engine:
 
     def _commit_whole_node(self, now: float, task: Task, node: WorkerNode) -> tuple:
         # queue the task behind the node's last one; returns (start, finish)
-        start = max(now, self.state.available_at.get(node.id, 0.0))
+        available_at = self.state.available_at
+        before = available_at.get(node.id, 0.0)
+        start = max(now, before)
         finish = start + execution_time(node, task)
-        self.state.available_at[node.id] = finish
+        available_at[node.id] = finish
         self.pending_exec[task.id] = (node.id, "", node.cpu, task.memory, 0)
+        if self.home is not None:  # re-file the node as busy until `finish`
+            # a busy entry moves to `idle` only when a pick reads the queues,
+            # so the node is looked up, not placed by `before > now`
+            q, r = self.home[node.id]
+            busy = q.busy
+            j = bisect_left(busy, (before, r))
+            if j < len(busy) and busy[j] == (before, r):
+                del busy[j]
+            else:
+                del q.idle[bisect_left(q.idle, r)]
+            insort(busy, (finish, r))
         return start, finish
+
+    def _pick_whole_node(self, task: Task, now: float) -> WorkerNode:
+        """The node `assign` picks; under `mct` and `greedy`, from the queues.
+
+        A node is busy while its available_at is past `now`. `mct` takes the
+        least (eta, id): a class's idle nodes share the eta `execution_time`,
+        and its busy ones have `(available_at - now) + execution_time`, which
+        never falls along `busy` but can equal the eta of the nodes before
+        it, so the equal-eta prefix is searched for the smallest rank.
+        `greedy` takes the first idle node in node order with the largest
+        cpu, or, when every node is busy, the first node with the largest cpu.
+        """
+        strategy = self.config.strategy
+        if self.home is None:
+            return self.node_by_id[assign(strategy, task, self.nodes, self.rng_dyn, self.state)]
+        best = None
+        for q in self.queues:
+            idle, busy = q.idle, q.busy
+            while busy and busy[0][0] <= now:  # free again by now
+                insort(idle, busy.pop(0)[1])
+            if strategy == "greedy":
+                if idle:  # the largest cpu, then the first node
+                    key = (q.head.cpu, -idle[0])
+                    if best is None or key > best:
+                        best = key
+                continue
+            e = execution_time(q.head, task)
+            if idle:
+                eta, r = e, idle[0]
+            else:
+                eta, r = busy[0][0] - now + e, busy[0][1]
+            for a, s in busy:
+                if a - now + e > eta:
+                    break
+                if s < r:
+                    r = s
+            if best is None or (eta, r) < best:
+                best = (eta, r)
+        if best is None:  # greedy, with every node busy
+            return self.fallback
+        return self.ranked[best[1] if strategy == "mct" else -best[1]]
 
     def _commit_container(self, now: float, task: Task, node: WorkerNode) -> tuple | None:
         # run the task in a container now; returns (start, finish), or None
@@ -561,7 +658,7 @@ class _Engine:
         self.state.now = now
 
         if not auction:
-            node = self.node_by_id[assign(strategy, task, self.nodes, self.rng_dyn, self.state)]
+            node = self._pick_whole_node(task, now)
             payment = valuation_unchecked(node, task, self.config.weights, self.config.bid_margin)
         else:
             pick = self._literal_round(task) if self.config.auction_mode == "literal" else self._take(task)

@@ -10,10 +10,13 @@ reproduces: the oracle every fast path is tested against.
 - `_check_invariants`: the books of every node after every event, and each
   class's open list against its definition, the one piece of fast-path state
   that no output shows.
+- `_pick_whole_node`: `assign` over every node, for every whole-node
+  strategy; the engine's `mct` and `greedy` queues are still re-filed on
+  each commit, but never read.
 
-The whole-node picks already call `assign`. A new fast path adds its
-definition here as one more override. `market` draws the nodes and tasks
-of the single-round comparison, `same_round`.
+A new fast path adds its definition here as one more override. `market`
+draws the nodes and tasks of the single-round comparison, `same_round`, and
+`whole_node_steps` those of the pick-by-pick one, `same_picks`.
 """
 
 from collections import Counter
@@ -38,7 +41,10 @@ def over(nodes, engine=sim._Engine):
 class ReferenceEngine(sim._Engine):
     """`seen` counts what the engine met: rounds taken and retried, closed
     members, literal rounds of positive and of zero posted value, literal
-    rounds with a NaN ask, and reaped containers."""
+    rounds with a NaN ask, and reaped containers; and whole-node picks of
+    a busy node under `mct`, `mct` picks whose least eta is shared across
+    classes or by a busy node, `greedy` picks while every node is busy, and
+    `greedy` picks tied with a node of smaller id."""
 
     def __init__(self, config):
         self.seen = Counter()
@@ -77,6 +83,25 @@ class ReferenceEngine(sim._Engine):
         self.seen["nan_asks"] += any(a != a for a in asks)
         return task.value, self.nodes[alloc.order[alloc.assignments[0]]]
 
+    def _pick_whole_node(self, task, now):
+        strategy = self.config.strategy
+        node = self.node_by_id[sim.assign(strategy, task, self.nodes, self.rng_dyn, self.state)]
+        available_at = self.state.available_at
+        busy = {n.id for n in self.nodes if available_at.get(n.id, 0.0) > now}
+        if strategy == "mct":
+            eta = {n.id: max(0.0, available_at.get(n.id, 0.0) - now) + execution_time(n, task)
+                   for n in self.nodes}
+            tied = [n for n in self.nodes if eta[n.id] == eta[node.id]]
+            self.seen["busy"] += node.id in busy
+            self.seen["class_tie"] += len({(n.cpu, n.time_const) for n in tied}) > 1
+            self.seen["busy_tie"] += len(tied) > 1 and any(n.id in busy for n in tied)
+        elif strategy == "greedy":
+            tied = [n for n in self.nodes
+                    if n.cpu == node.cpu and (n.id in busy) == (node.id in busy)]
+            self.seen["all_busy"] += len(busy) == len(self.nodes)
+            self.seen["position_not_id"] += min(n.id for n in tied) != node.id
+        return node
+
     def _reap(self, now):
         self.freed.clear()  # the fast path's queue of due nodes
         for node in self.nodes:
@@ -86,7 +111,7 @@ class ReferenceEngine(sim._Engine):
         self.touched.clear()  # every node is checked, not only those the event touched
         super()._check_invariants(now)
         sim._check_books(self.nodes, f"at t={now!r}")
-        for cls in getattr(self, "classes", ()):  # only the auctions index classes
+        for cls in getattr(self, "classes", ()):  # the auctions' classes, not mct/greedy's queues
             # open: a free container, or room for the smallest slice
             ranks = [r for r, (_, _, node) in enumerate(cls.members)
                      if any(c.state == "free" for c in node.container_pool)
@@ -107,6 +132,23 @@ def same_round(nodes, tasks, config):
         picks = [pick and (pick[0], pick[1].id) for pick in (fast._take(task),
                                                              reference._take(task))]
         assert picks[0] == picks[1], picks
+        got.append(picks[0])
+    return got
+
+
+def same_picks(nodes, steps, config):
+    """Both engines pick and commit a node for each (now, task) in turn over
+    the given nodes, under a whole-node strategy. Returns the picked ids."""
+    fast, reference = over(nodes)(config), over(nodes, ReferenceEngine)(config)
+    got = []
+    for now, task in steps:
+        picks = []
+        for engine in (fast, reference):
+            engine.state.now = now
+            node = engine._pick_whole_node(task, now)
+            engine._commit_whole_node(now, task, node)
+            picks.append(node.id)
+        assert picks[0] == picks[1], (now, task.cycles, picks)
         got.append(picks[0])
     return got
 
@@ -193,3 +235,29 @@ def market(draw):
     if draw(st.booleans()):
         tasks[1] = replace(tasks[1], deadline=execution_time(rnd.choice(nodes), tasks[1]))
     return config, nodes, tasks
+
+
+@st.composite
+def whole_node_steps(draw):
+    """Nodes and (now, task) steps on which every whole-node tie happens:
+    integer times and execution times, so a node falls free exactly at a
+    round's time; classes with equal time_const / cpu, so etas tie across
+    classes; and 2**60-cycle tasks, whose eta absorbs a short wait, so busy
+    and idle nodes of one class tie. Ids are shuffled against node order."""
+    kinds = draw(st.lists(st.sampled_from([(1.0, 1.0), (2.0, 2.0), (1.0, 3.0), (4.0, 1.0)]),
+                          min_size=1, max_size=3))  # (cpu, time_const)
+    n = draw(st.integers(1, 12))
+    ids = draw(st.permutations([f"wn{i:03d}" for i in range(n)]))
+    nodes = [WorkerNode(id=node_id, cpu=cpu, memory=4096.0, power=100.0, unit_cost=1.0,
+                        time_const=time_const)
+             for node_id, (cpu, time_const) in zip(ids, map(kinds.__getitem__, draw(
+                 st.lists(st.integers(0, len(kinds) - 1), min_size=n, max_size=n))))]
+    steps = []
+    now = 0.0
+    for gap, cycles in draw(st.lists(st.tuples(st.sampled_from([0.0, 0.0, 1.0, 2.0]),
+                                               st.sampled_from([1.0, 2.0, 4.0, 2.0**60])),
+                                     min_size=1, max_size=30)):
+        now += gap
+        steps.append((now, Task(id="t", data_in=1.0, data_out=0.5, cycles=cycles, memory=1.0,
+                                power=1.0, deadline=10.0, td_max=2.0)))
+    return nodes, steps

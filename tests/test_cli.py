@@ -251,6 +251,24 @@ def test_main_rejects_the_completion_figure_before_a_strategy_sweep_runs(tmp_pat
     assert not (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize("field, values", [("sweep_values", (2, 2)),
+                                           ("strategies", ("mct", "mct")), ("seeds", (0, 0))])
+def test_experiment_spec_rejects_a_repeat_that_would_merge_aggregate_groups(field, values):
+    with pytest.raises(ConstraintError, match=f"^{field}: must be distinct$"):
+        ExperimentSpec(base=default_config(), **{field: values})
+
+
+@pytest.mark.parametrize("sweep", ["devices=2,2", "strategy=mct,mct"])
+def test_main_rejects_a_repeated_sweep_value_before_any_run(tmp_path, capsys, sweep):
+    # a repeat would show one seed's run twice, as one group of n_seeds 2
+    out = tmp_path / "out"
+    code = main(["--sweep", sweep, "--seeds", "0", "--out", str(out)])
+    assert code == EXIT_CONSTRAINT
+    assert capsys.readouterr().err == ("config constraint violated: sweep_values: "
+                                       "must be distinct\n")
+    assert not (out / "results.csv").exists()
+
+
 def test_main_all_plots_over_a_strategy_sweep_skips_the_completion_figure(tmp_path):
     path = _write_config(tmp_path, {"num_devices": 2, "num_workers": 2})
     out = tmp_path / "out"

@@ -1,6 +1,7 @@
 """Event engine behavior: strategies, determinism, logs, and metrics."""
 
 import heapq
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -20,7 +21,7 @@ from aucrac.sim import (SimEvent, SimState, _percentile, assign, jain_fairness, 
                         utilization_series)
 from aucrac.core import AuctionOutcome
 
-from reference_engine import market, same_round, same_run
+from reference_engine import market, same_picks, same_round, same_run, whole_node_steps
 
 
 def _workload_of(tasks_per_device):
@@ -438,6 +439,63 @@ _PAST_WN999 = default_config(
 @example(_PAST_WN999)
 def test_the_fast_engine_runs_as_the_reference_engine(strategy, config):
     same_run(replace(config, strategy=strategy))
+
+
+# mct's eta, (available_at - now) + execution_time, ties across classes whose
+# time_const / cpu agree; and with nanosecond tasks running when a 1e17-cycle
+# one arrives, it ties between busy and idle nodes of one class
+_TIED_CLASSES = default_config(num_devices=30, num_workers=6, node_templates=(
+    NodeTemplate(cpu=4e9, time_const_s=5.0), NodeTemplate(cpu=8e9, time_const_s=10.0)))
+_NANO_AND_HUGE = default_config(num_devices=20, workload=replace(
+    default_config().workload, arrival_rate_hz=1e9, mix_lit=0.5, mix_mit=0.0, mix_hit=0.5,
+    lit_cycles=(1.0, 2.0), hit_cycles=(1e17, 2e17)))
+
+
+@pytest.mark.parametrize("config, shows", [
+    pytest.param(replace(_SHORT_TTL, strategy="mct"), "busy", id="mct-busy"),
+    pytest.param(replace(_TIED_CLASSES, strategy="mct"), "class_tie", id="mct-class-tie"),
+    pytest.param(replace(_NANO_AND_HUGE, strategy="mct"), "busy_tie", id="mct-busy-tie"),
+    pytest.param(replace(_SHORT_TTL, strategy="greedy"), "all_busy", id="greedy-all-busy"),
+    pytest.param(replace(_PAST_WN999, strategy="greedy"), "position_not_id",
+                 id="greedy-past-wn999"),
+])
+def test_whole_node_picks_follow_assign(config, shows):
+    assert same_run(config).seen[shows] > 0
+
+
+@pytest.mark.parametrize("strategy", ["mct", "greedy"])
+@settings(max_examples=150, deadline=None)
+@given(whole_node_steps())
+def test_queue_picks_equal_assign_at_every_tie(strategy, drawn):
+    same_picks(*drawn, default_config(strategy=strategy))
+
+
+@pytest.mark.parametrize("strategy, per_round", [("mct", 4), ("greedy", 1)])
+def test_a_whole_node_round_does_the_same_work_at_100_and_1000_workers(monkeypatch, strategy,
+                                                                       per_round):
+    # mct prices each of the three default classes once; both commit with
+    # one execution_time call and one read of the node's available_at
+    calls = Counter()
+    real = sim.execution_time
+
+    def counted(node, task):
+        calls["execution_time"] += 1
+        return real(node, task)
+
+    class Reads(dict):
+        def get(self, *args):
+            calls["available_at"] += 1
+            return super().get(*args)
+
+    monkeypatch.setattr(sim, "execution_time", counted)
+    for workers in (100, 1000):
+        calls.clear()
+        engine = sim._Engine(default_config(num_devices=1000, num_workers=workers,
+                                            strategy=strategy))
+        engine.state.available_at = Reads()
+        rounds = sum(",auction_round," in ln for ln in engine.run().log_lines)
+        assert rounds == 3000
+        assert calls == {"execution_time": per_round * rounds, "available_at": rounds}
 
 
 @pytest.mark.parametrize("templates", ["default", "one_per_node"])
