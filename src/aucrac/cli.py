@@ -46,7 +46,10 @@ log = logging.getLogger("aucrac")
 def load_config(path: str) -> SimConfig:
     """Read and validate a JSON config file. Unknown keys are errors."""
     with open(path, "r", encoding="utf-8") as fh:
-        return config_from_json(fh.read())
+        try:
+            return config_from_json(fh.read())
+        except UnicodeDecodeError as exc:  # the file is not UTF-8
+            raise SchemaError("config", f"not valid JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -63,19 +66,19 @@ class ExperimentSpec:
 
     def __post_init__(self):
         _in_enum("sweep_var", self.sweep_var, SWEEP_VARS)
-        for name in ("sweep_values", "seeds"):
-            if not getattr(self, name):
+        for name in ("sweep_values", "strategies", "seeds"):
+            values = tuple(getattr(self, name))
+            if not values:
                 raise ConstraintError(name, "must be non-empty")
-        for name in ("sweep_values", "strategies", "seeds"):  # a repeat merges aggregate groups
-            values = getattr(self, name)
-            if len(set(values)) != len(values):
+            if len(set(values)) != len(values):  # a repeat merges aggregate groups
                 raise ConstraintError(name, "must be distinct")
+            object.__setattr__(self, name, values)
+        for name in ("seeds",) if self.sweep_var == "strategy" else ("sweep_values", "seeds"):
+            for value in getattr(self, name):  # results.csv writes each as given
+                _integer(name, value)
         for s in self.strategies:
             _in_enum("strategy", s, STRATEGIES)
         _integer("jobs", self.jobs, 1)
-        object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
-        object.__setattr__(self, "strategies", tuple(self.strategies))
-        object.__setattr__(self, "seeds", tuple(self.seeds))
 
 
 def _configs_for(spec: ExperimentSpec):
@@ -90,11 +93,11 @@ def _configs_for(spec: ExperimentSpec):
             for seed in spec.seeds:
                 cfg = spec.base
                 if spec.sweep_var == "devices":
-                    cfg = replace(cfg, num_devices=int(value))
+                    cfg = replace(cfg, num_devices=value)
                 elif spec.sweep_var == "workers":
-                    cfg = replace(cfg, num_workers=int(value))
-                cfg = replace(cfg, strategy=strategy, seed=int(seed))
-                combos.append((value, strategy, int(seed), cfg))
+                    cfg = replace(cfg, num_workers=value)
+                cfg = replace(cfg, strategy=strategy, seed=seed)
+                combos.append((value, strategy, seed, cfg))
     return combos
 
 
@@ -170,10 +173,7 @@ def _read_results(path: str):
     expected = RESULTS_HEADER.split(",")
     if header != expected:
         raise SchemaError("header", f"columns must be exactly {RESULTS_HEADER!r}")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        rows.append(dict(zip(header, cells)))
+    rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
     if not rows:
         raise InputError(f"{path} has no data rows")
     return rows

@@ -486,7 +486,7 @@ def _reject_constant(literal: str):
 def config_from_json(text: str) -> SimConfig:
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested for the parser
         raise SchemaError("config", f"not valid JSON: {exc}") from exc
     return config_from_dict(doc)
 

@@ -326,7 +326,7 @@ class _Engine:
         self.cpu_acc = {n.id: 0.0 for n in self.nodes}
         self.cpu_last = {n.id: 0.0 for n in self.nodes}
         self.last_time = 0.0
-        self.offers = {}        # task id -> its eligible classes, until assigned or failed
+        self.offers = {}        # task id -> its bidding classes or literal (payment, node)
         self.freed = deque()    # (freed_at, node index) per container release, in time order
         self.touched = []       # nodes whose container books the current event changed
 
@@ -430,10 +430,10 @@ class _Engine:
     # -- handlers ----------------------------------------------------------
 
     def _fill_value(self, task: Task) -> Task:
-        # the posted task value is the market's mean asking price for it;
+        # the posted task value is the market's mean asking price for it, each
+        # ask `up * (unit_cost * delta * S)` as valuation_unchecked computes it;
         # the same pass finds the classes that bid in the task's rounds
-        config = self.config
-        weights = config.weights
+        weights = self.config.weights
         up = self.up
         l1 = weights.lambda1
         a1l2 = weights.alpha1 * weights.lambda2
@@ -441,7 +441,8 @@ class _Engine:
         cycles, memory, power, deadline = task.cycles, task.memory, task.power, task.deadline
         sign = self.sign
         offers = []
-        per_class = []  # S per class, None where the class cannot host the task
+        every = []    # S per class
+        hosting = []  # S per class, None where the class cannot host the task
         count = 0
         for cls in self.classes:
             node = cls.head
@@ -449,34 +450,37 @@ class _Engine:
             re_ = cycles / cpu
             rm = memory / node.memory
             rp = power / node.power
-            if re_ >= 1.0 or rm >= 1.0 or rp >= 1.0:
-                per_class.append(None)
-                continue
             s = l1 * re_ + a1l2 * rm + a2l3 * rp
-            per_class.append(s)
+            every.append(s)
+            hosting.append(None if re_ >= 1.0 or rm >= 1.0 or rp >= 1.0 else s)
+            if hosting[-1] is None:
+                continue
             count += len(cls.members)
             if deadline - node.time_const * cycles / cpu > 0.0:
                 offers.append((sign * (up * (cls.members[0][0] * s)), cls, s))
         # (sign * cheapest ask, class, S), cheapest first: a round stops at
         # the first class whose cheapest ask is past the best taker found
         offers.sort(key=itemgetter(0))
-        self.offers[task.id] = offers
-        if count:
-            # each ask as valuation computes it, added left to right in node order
-            total = 0.0
-            for u, s in zip(self.ucd, map(per_class.__getitem__, self.node_class)):
-                if s is not None:
-                    total += up * (u * s)
-        else:
-            total = left_sum(valuation_unchecked(node, task, weights, config.bid_margin)
-                             for node in self.nodes)
-            count = len(self.nodes)
+        if not count:  # no class can host the task: the mean is over every node
+            hosting, count = every, len(self.nodes)
+        total = 0.0  # added left to right in node order
+        for u, s in zip(self.ucd, map(hosting.__getitem__, self.node_class)):
+            if s is not None:
+                total += up * (u * s)
         value = total / count
         if math.isfinite(value):
             valued = _trusted_task({**vars(task), "value": value})
         else:  # the prices overflowed: let the validator reject the value
             valued = replace(task, value=value)
         self.tasks[task.id] = valued
+        if self.config.auction_mode == "literal":
+            # allocate_tasks_literal's pick in closed form (the auction module
+            # says why), fixed now since no ask changes between rounds: an end
+            # of its own sort, not a max/min, as an infeasible ask can be NaN
+            asks = [up * (u * s) for u, s in zip(self.ucd, map(every.__getitem__, self.node_class))]
+            order = sorted(zip(asks, range(len(asks))))  # (ask, position)
+            offers = (value, self.nodes[order[-1 if value > 0 else 0][1]])
+        self.offers[task.id] = offers
         return valued
 
     def _take(self, task: Task):
@@ -641,13 +645,8 @@ class _Engine:
         return len(reaped)
 
     def _literal_round(self, task: Task) -> tuple:
-        # allocate_tasks_literal's pick, bids carried across rounds, in closed
-        # form (the auction module says why): an end of its own sort, not a
-        # max/min, since an infeasible node's ask can be NaN
-        asks = [valuation_unchecked(n, task, self.config.weights, self.config.bid_margin)
-                for n in self.nodes]
-        order = sorted(range(len(asks)), key=lambda i: (asks[i], i))
-        return task.value, self.nodes[order[-1] if task.value > 0 else order[0]]
+        # the (payment, node) that _fill_value fixed when it posted the task
+        return self.offers[task.id]
 
     def _handle_round(self, now: float, task_id: str):
         task = self.tasks[task_id]

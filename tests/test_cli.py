@@ -57,6 +57,28 @@ def test_spec_rejects_empty_sweep(tmp_path):
         _tiny_spec(tmp_path, sweep_values=())
 
 
+def test_spec_rejects_empty_strategies(tmp_path):
+    # an empty list once ran nothing and wrote header-only CSVs
+    with pytest.raises(ConstraintError, match="^strategies: must be non-empty$"):
+        _tiny_spec(tmp_path, strategies=())
+
+
+@pytest.mark.parametrize("field, values, sweep_var", [
+    ("sweep_values", (2.7,), "devices"), ("sweep_values", (2, 3.0), "workers"),
+    ("sweep_values", ("2",), "devices"), ("seeds", (0, 0.5), "devices"),
+    ("seeds", (True,), "strategy"),
+], ids=["devices=2.7", "workers=2,3.0", "devices='2'", "seeds=0,0.5", "seeds=True"])
+def test_spec_rejects_a_seed_or_sweep_value_that_is_not_an_integer(tmp_path, field, values,
+                                                                   sweep_var):
+    # each was run through int(): 2.7 ran 2 devices under the name 2.7, and
+    # seeds 0 and 0.5 both ran seed 0, merged into one group of n_seeds 2
+    kw = {field: values, "sweep_var": sweep_var}
+    if sweep_var == "strategy":
+        kw["sweep_values"] = ("mct",)
+    with pytest.raises(ConstraintError, match=f"^{field}: must be an integer$"):
+        _tiny_spec(tmp_path, **kw)
+
+
 def test_spec_rejects_unknown_strategy(tmp_path):
     with pytest.raises(UnknownEnumError):
         _tiny_spec(tmp_path, strategies=("sorcery",))
@@ -296,6 +318,26 @@ def test_removed_startup_overhead_key_is_a_schema_error(tmp_path):
     with pytest.raises(SchemaError, match="executor.startup_overhead_lo_mb"):
         load_config(_write_config(tmp_path, doc))
     assert main(["--config", _write_config(tmp_path, doc)]) == EXIT_SCHEMA
+
+
+@pytest.mark.parametrize("raw, reason", [
+    (b'{"seed": "\xff"}', "'utf-8' codec can't decode byte 0xff in position 10: "
+                          "invalid start byte"),
+    (b"[" * 200_000, None),
+], ids=["not-utf8", "nested-200000-deep"])
+def test_main_undecodable_config_is_a_schema_error_before_any_run(tmp_path, capsys, raw,
+                                                                   reason):
+    # each once ended in a UnicodeDecodeError or RecursionError traceback, exit 1
+    path = tmp_path / "config.json"
+    path.write_bytes(raw)
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--seeds", "0", "--out", str(out)]) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("config schema error: config: not valid JSON: ")
+    assert err.count("\n") == 1
+    if reason is not None:
+        assert err == f"config schema error: config: not valid JSON: {reason}\n"
+    assert not (out / "results.csv").exists()
 
 
 def test_main_bad_enum_is_enum_error(tmp_path):

@@ -395,6 +395,33 @@ def test_literal_round_picks_the_batch_procedures_node(config, shows):
         assert seen["positive"] > 0
 
 
+@pytest.mark.parametrize("config", [
+    replace(_SHORT_TTL, auction_mode="literal"),
+    replace(_SHORT_TTL, auction_mode="literal", strategy="auction_basic"),
+    default_config(num_devices=60, num_workers=40, auction_mode="literal", win_rule="highest"),
+    default_config(num_devices=3, strategy="auction_basic", auction_mode="literal",
+                   node_templates=(NodeTemplate(cpu=1e-3),)),
+], ids=["aucrac-short-ttl", "auction_basic-short-ttl", "aucrac-40-workers",
+        "auction_basic-no-host"])
+def test_a_literal_round_prices_no_node(monkeypatch, config):
+    # the pick is fixed when the task is posted, from its class prices; a
+    # round that priced every node again, or a posted value that no class
+    # can host, would call valuation_unchecked
+    calls = Counter()
+    real = sim.valuation_unchecked
+
+    def counted(*args):
+        calls["valuation_unchecked"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(sim, "valuation_unchecked", counted)
+    results = Counter(sim._detail_map(parse_event_line(ln).detail)["result"]
+                      for ln in run(config).log_lines if ",auction_round," in ln)
+    assert results["assigned"] > 0
+    assert results["retry"] > 0 or config.strategy == "auction_basic"  # a whole node never requeues
+    assert calls == {}
+
+
 @st.composite
 def _run_configs(draw):
     """Either mode and win rule over up to 300 devices and 50 workers.
