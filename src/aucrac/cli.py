@@ -20,6 +20,7 @@ from .core import (STRATEGIES, SimConfig, WorkerNode, _in_enum, _integer, config
                    default_config)
 from .errors import (AucracError, ConstraintError, InputError, SchemaError,
                      UnknownEnumError)
+from .rng import MASK64
 from .sim import left_sum, run
 
 EXIT_OK = 0
@@ -66,16 +67,17 @@ class ExperimentSpec:
 
     def __post_init__(self):
         _in_enum("sweep_var", self.sweep_var, SWEEP_VARS)
+        integers = ("seeds",) if self.sweep_var == "strategy" else ("sweep_values", "seeds")
         for name in ("sweep_values", "strategies", "seeds"):
             values = tuple(getattr(self, name))
             if not values:
                 raise ConstraintError(name, "must be non-empty")
-            if len(set(values)) != len(values):  # a repeat merges aggregate groups
+            for value in values if name in integers else ():  # results.csv writes each as given
+                _integer(name, value)
+            # a repeat merges aggregate groups, and so do seeds that Rng masks alike
+            if len({v & MASK64 if name == "seeds" else v for v in values}) != len(values):
                 raise ConstraintError(name, "must be distinct")
             object.__setattr__(self, name, values)
-        for name in ("seeds",) if self.sweep_var == "strategy" else ("sweep_values", "seeds"):
-            for value in getattr(self, name):  # results.csv writes each as given
-                _integer(name, value)
         for s in self.strategies:
             _in_enum("strategy", s, STRATEGIES)
         _integer("jobs", self.jobs, 1)

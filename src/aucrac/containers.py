@@ -38,12 +38,11 @@ def slice_for(node: WorkerNode, task: Task) -> float:
     """Smallest compute slice that finishes the task strictly inside td_max,
     rounded up to the node's slice granularity."""
     g = node.executor.slice_granularity
-    needed = task.cycles / task.td_max
-    steps = math.floor(needed / g)
-    slice_ = g * (steps + 1)
-    # guard against float fuzz right at a granularity boundary
+    slice_ = g * (math.floor(task.cycles / task.td_max / g) + 1)
+    # guard against float fuzz right at a granularity boundary; each step is
+    # at least one ulp, since a granularity below the slice's ulp adds nothing
     while task.cycles / slice_ >= task.td_max:
-        slice_ += g
+        slice_ = max(slice_ + g, math.nextafter(slice_, math.inf))
     return slice_
 
 

@@ -1,8 +1,9 @@
 """Deterministic discrete-event simulation of one offloading run.
 
-Six assignment strategies share one engine. The container-aware strategy
-places work into compute slices and runs tasks on a node concurrently;
-every other strategy executes whole-node, one task at a time, FIFO.
+Six assignment strategies share one engine. A run's market picks the node
+for each task, and its executor runs the task there: in a container on a
+compute slice, concurrently, under the container-aware strategy, and
+otherwise on the whole node, one task at a time, FIFO.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import cycle, islice
 from operator import attrgetter, itemgetter
 
 from . import containers as ct
@@ -64,12 +66,7 @@ def parse_event_line(line: str) -> SimEvent:
 
 
 def _detail_map(detail: str) -> dict:
-    out = {}
-    for chunk in detail.split(";"):
-        if "=" in chunk:
-            key, val = chunk.split("=", 1)
-            out[key] = val
-    return out
+    return dict(chunk.split("=", 1) for chunk in detail.split(";") if "=" in chunk)
 
 
 def left_sum(values) -> float:
@@ -100,23 +97,17 @@ def jain_fairness(counts) -> float:
 
 def _percentile(sorted_values, q: float) -> float:
     # nearest-rank on an already sorted list
-    if not sorted_values:
-        return 0.0
-    idx = max(0, math.ceil(q * len(sorted_values)) - 1)
-    return sorted_values[idx]
+    return sorted_values[max(0, math.ceil(q * len(sorted_values)) - 1)] if sorted_values else 0.0
 
 
 def mn_profit(outcomes, tasks, unit_price: float) -> float:
-    """Manager profit: revenue charged per task minus what the winner was paid.
-
-    Outcomes without a winner contribute nothing.
-    """
+    """Manager profit: revenue charged per task minus what the winner was
+    paid. Outcomes without a winner contribute nothing."""
     by_id = {t.id: t for t in tasks}
     profit = 0.0
     for outcome in outcomes:
-        if outcome.winner is None:
-            continue
-        profit += mn_revenue(by_id[outcome.task_id], unit_price) - outcome.payment
+        if outcome.winner is not None:
+            profit += mn_revenue(by_id[outcome.task_id], unit_price) - outcome.payment
     return profit
 
 
@@ -150,9 +141,7 @@ def run_task_auction(task: Task, nodes, config: SimConfig, now: float) -> Auctio
             continue
         bids.append(Bid(node_id=node.id, task_id=task.id, amount=amount, submit_time=now,
                         eligible=deadline_eligibility(node, task)))
-    if not bids:
-        return None
-    return run_sealed_auction(task, bids, config.win_rule)
+    return run_sealed_auction(task, bids, config.win_rule) if bids else None
 
 
 def assign(strategy: str, task: Task, nodes, rng: Rng, state: SimState) -> str:
@@ -232,356 +221,95 @@ class SimResult:
     nodes: tuple
 
 
-class _NodeClass:
-    """The nodes that share (cpu, memory, power, time_const, executor_mode).
+# -- markets: which node hosts a task, for what payment ----------------------
 
-    They share every demand ratio, feasibility, deadline eligibility and
-    execution time, so a task is priced once per class. An ask is
-    `up * (unit_cost * delta * S)` with S fixed per class and task, so it
-    is monotone in `unit_cost * delta`: `members` holds (unit_cost * delta,
-    node id, node) sorted by (sign * unit_cost * delta, id, position), a
-    best-first order for every task. `open` holds, in that order, the
-    ranks of the members that hold a free container or at least one slice
-    granularity of free compute. Every slice is at least one granularity,
-    so a member missing from `open` cannot place any task.
+class _Market:
+    """Picks the node that hosts each task, and its payment; one per run.
+
+    `price(task)` returns the task as posted, at its arrival; `pick(task,
+    now)` returns (payment, node), or None to retry; `close(task_id)` drops
+    what `price` kept. The executor reports what a market may index:
+    `booked(node)` after a change to the node's container books, and
+    `queued(node, before, finish)` after a whole-node commit.
     """
 
-    __slots__ = ("head", "members", "open")
+    def price(self, task: Task) -> Task:
+        return task
 
-    def __init__(self, head: WorkerNode, members: list, open_ranks: list):
-        self.head = head
-        self.members = members
-        self.open = open_ranks
+    def close(self, *args):
+        """Nothing this market keeps changes."""
+
+    booked = queued = close
+
+
+class _Assign(_Market):
+    """`assign`'s pick, paid its `valuation_unchecked` ask: `random`, `round_robin`."""
+
+    def __init__(self, engine):
+        self.strategy, self.weights = engine.config.strategy, engine.config.weights
+        self.margin = engine.config.bid_margin
+        self.nodes, self.node_by_id, self.rng = engine.nodes, engine.node_by_id, engine.rng_dyn
+        self.state = SimState()
+
+    def pick(self, task: Task, now: float) -> tuple:
+        node = self.node_by_id[assign(self.strategy, task, self.nodes, self.rng, self.state)]
+        return valuation_unchecked(node, task, self.weights, self.margin), node
 
 
 class _Queue:
-    """The nodes that share (cpu, time_const), under `mct` or `greedy`.
-
-    They share `execution_time` and `cpu`, the only node fields either pick
-    reads, so a pick needs from each class only its idle nodes and its
-    soonest-free busy ones. A node's rank is its place in the order that
-    breaks the pick's ties: node id for `mct`, node position for `greedy`.
-    `idle` holds the ranks of the members free by the last pick's time,
-    sorted; `busy` holds (available_at, rank) of the others, sorted.
-    """
-
     __slots__ = ("head", "idle", "busy")
 
     def __init__(self, head: WorkerNode):
         self.head = head
-        self.idle = []
-        self.busy = []
+        self.idle = []  # ranks free by the last pick's time, sorted
+        self.busy = []  # (available_at, rank) of the others, sorted
 
 
-def _is_open(node: WorkerNode) -> bool:
-    if node.free_compute >= node.executor.slice_granularity:
-        return True
-    for c in node.container_pool:
-        if c.state == "free":
-            return True
-    return False
+class _Queues(_Assign):
+    """`assign`'s `mct` and `greedy` picks, from per-(cpu, time_const) queues.
 
+    Those two fields are all either pick reads of a node, so a pick needs
+    from each class only its idle nodes and its soonest-free busy ones. A
+    rank is a node's place in the pick's tie order: id for `mct`, position
+    for `greedy`. A busy node's eta `(available_at - now) + execution_time`
+    never falls along `busy` but can equal the eta before it, so `mct`
+    searches the equal-eta prefix for the smallest rank. With every node
+    busy, `greedy` takes `fallback`, the first node with the largest cpu.
+    """
 
-class _Engine:
-    # Past 30 instance attributes CPython stops sharing the attribute key
-    # table between instances, and every `self.x` load in the event loop
-    # falls off its specialised fast path; slots keep them fixed-offset.
-    __slots__ = ("config", "rng_nodes", "rng_workload", "rng_dyn", "sign", "up", "nodes",
-                 "node_by_id", "node_index", "ucd", "classes", "slot", "node_class", "tasks",
-                 "state", "heap", "log", "payments", "retries", "pending_exec", "finished",
-                 "failed", "arrived", "per_node_tasks", "whole_mem", "peak_mem", "busy_cc",
-                 "cpu_acc", "cpu_last", "last_time", "offers", "freed", "touched", "queues",
-                 "home", "ranked", "fallback")
-
-    def __init__(self, config: SimConfig):
-        self.config = config
-        base = new_rng(config.seed)
-        self.rng_nodes = base.fork(1)
-        self.rng_workload = base.fork(2)
-        self.rng_dyn = base.fork(3)
-        self.sign = 1.0 if config.win_rule == "lowest" else -1.0
-        self.up = 1.0 + config.bid_margin
-        self.nodes = self._build_nodes()
-        self.node_by_id = {n.id: n for n in self.nodes}
-        self.node_index = {n.id: i for i, n in enumerate(self.nodes)}
-        if config.strategy in ("aucrac", "auction_basic"):
-            self._index_classes()  # only the auctions price a task per node class
-        self.home = None  # node id -> (queue, rank), for the picks that keep queues
-        if config.strategy in ("mct", "greedy"):
-            self._index_queues()
-        self.tasks = {}
-        self.state = SimState()
-        self.heap = []
-        self.log = _Records()
-        self.payments = {}
-        self.retries = {}
-        self.pending_exec = {}  # task id -> (node id, container id, cc, mem, created)
-        self.finished = {}      # task id -> (completion seconds, missed flag)
-        self.failed = set()
-        self.arrived = 0
-        self.per_node_tasks = {n.id: 0 for n in self.nodes}
-        self.whole_mem = {n.id: 0.0 for n in self.nodes}
-        self.peak_mem = {n.id: 0.0 for n in self.nodes}
-        self.busy_cc = {n.id: 0.0 for n in self.nodes}
-        self.cpu_acc = {n.id: 0.0 for n in self.nodes}
-        self.cpu_last = {n.id: 0.0 for n in self.nodes}
-        self.last_time = 0.0
-        self.offers = {}        # task id -> its bidding classes or literal (payment, node)
-        self.freed = deque()    # (freed_at, node index) per container release, in time order
-        self.touched = []       # nodes whose container books the current event changed
-
-    def _build_nodes(self):
-        nodes = []
-        templates = self.config.node_templates
-        for i in range(self.config.num_workers):
-            t = templates[i % len(templates)]
-            # small deterministic price spread keeps identical templates distinguishable
-            cost = t.unit_cost * self.rng_nodes.uniform(0.95, 1.05)
-            nodes.append(WorkerNode(
-                id=f"wn{i:03d}", cpu=t.cpu, memory=t.memory_mb, power=t.power_w,
-                unit_cost=cost, time_const=t.time_const_s,
-                executor_mode=t.executor_mode, executor=self.config.executor,
-            ))
-        return nodes
-
-    def _index_classes(self):
-        # node order is fixed for the run, so the classes, their member
-        # order and each node's place in it are built once
-        nodes = self.nodes
-        self.ucd = [n.unit_cost * self.config.weights.delta for n in nodes]  # by position
-        groups = {}
-        for i, n in enumerate(nodes):
-            key = (n.cpu, n.memory, n.power, n.time_const, n.executor_mode)
-            groups.setdefault(key, []).append(i)
-        sign = self.sign
-        ucd = self.ucd
-        self.classes = []
-        self.slot = {}               # node id -> [class, rank in the class, open flag]
-        self.node_class = [0] * len(nodes)  # class number per node position
-        for k, positions in enumerate(groups.values()):
-            positions.sort(key=lambda i: (sign * ucd[i], nodes[i].id, i))
-            flags = [_is_open(nodes[i]) for i in positions]
-            cls = _NodeClass(nodes[positions[0]],
-                             [(ucd[i], nodes[i].id, nodes[i]) for i in positions],
-                             [r for r, flag in enumerate(flags) if flag])
-            self.classes.append(cls)
-            for r, i in enumerate(positions):
-                self.slot[nodes[i].id] = [cls, r, flags[r]]
-                self.node_class[i] = k
-
-    def _index_queues(self):
-        nodes = self.nodes
-        order = range(len(nodes))
-        if self.config.strategy == "mct":
-            order = sorted(order, key=lambda i: (nodes[i].id, i))
-        self.ranked = [nodes[i] for i in order]  # node by rank
+    def __init__(self, engine):
+        super().__init__(engine)
+        self.greedy = self.strategy == "greedy"
+        # node by rank; a stable sort keeps node order among equal ids
+        self.ranked = list(self.nodes) if self.greedy else sorted(self.nodes, key=attrgetter("id"))
         queues = {}
-        self.home = {}
+        self.home = {}  # node id -> (queue, rank)
         for r, node in enumerate(self.ranked):  # every node is idle at time 0
             q = queues.setdefault((node.cpu, node.time_const), _Queue(node))
             q.idle.append(r)
             self.home[node.id] = (q, r)
         self.queues = list(queues.values())
-        # greedy's pick while every node is busy: the first largest cpu
-        self.fallback = max(nodes, key=attrgetter("cpu"))
+        self.fallback = max(self.nodes, key=attrgetter("cpu"))
 
-    # -- event plumbing ----------------------------------------------------
-
-    def _cpu_change(self, node_id: str, delta: float, now: float):
-        node = self.node_by_id[node_id]
-        span = now - self.cpu_last[node_id]
-        if span > 0:
-            self.cpu_acc[node_id] += (self.busy_cc[node_id] / node.cpu) * span
-            self.cpu_last[node_id] = now
-        self.busy_cc[node_id] += delta
-
-    def _touch_mem(self, node_id: str):
-        node = self.node_by_id[node_id]
-        live = (node.memory - node.free_memory) + self.whole_mem[node_id]
-        if live > self.peak_mem[node_id]:
-            self.peak_mem[node_id] = live
-
-    def _touch(self, node: WorkerNode):
-        # a container create, reuse, release or reap changed the node's
-        # books: queue it for the books check and update its open state
-        self.touched.append(node)
-        slot = self.slot[node.id]
-        is_open = _is_open(node)
-        if is_open != slot[2]:
-            slot[2] = is_open
-            ranks = slot[0].open
-            j = bisect_left(ranks, slot[1])
-            if is_open:
-                ranks.insert(j, slot[1])
-            else:
-                del ranks[j]
-
-    def _check_invariants(self, now: float):
-        # only a container create, reuse, release or reap changes a node's
-        # books, so each event checks the nodes it touched; run() scans all
-        # nodes once more at the end
-        if now < self.last_time - 1e-9:
-            raise StateError(f"event time went backwards: {now} after {self.last_time}")
-        self.last_time = now
-        if self.touched:
-            _check_books(self.touched, f"at t={now!r}")
-            self.touched.clear()
-
-    # -- handlers ----------------------------------------------------------
-
-    def _fill_value(self, task: Task) -> Task:
-        # the posted task value is the market's mean asking price for it, each
-        # ask `up * (unit_cost * delta * S)` as valuation_unchecked computes it;
-        # the same pass finds the classes that bid in the task's rounds
-        weights = self.config.weights
-        up = self.up
-        l1 = weights.lambda1
-        a1l2 = weights.alpha1 * weights.lambda2
-        a2l3 = weights.alpha2 * weights.lambda3
-        cycles, memory, power, deadline = task.cycles, task.memory, task.power, task.deadline
-        sign = self.sign
-        offers = []
-        every = []    # S per class
-        hosting = []  # S per class, None where the class cannot host the task
-        count = 0
-        for cls in self.classes:
-            node = cls.head
-            cpu = node.cpu
-            re_ = cycles / cpu
-            rm = memory / node.memory
-            rp = power / node.power
-            s = l1 * re_ + a1l2 * rm + a2l3 * rp
-            every.append(s)
-            hosting.append(None if re_ >= 1.0 or rm >= 1.0 or rp >= 1.0 else s)
-            if hosting[-1] is None:
-                continue
-            count += len(cls.members)
-            if deadline - node.time_const * cycles / cpu > 0.0:
-                offers.append((sign * (up * (cls.members[0][0] * s)), cls, s))
-        # (sign * cheapest ask, class, S), cheapest first: a round stops at
-        # the first class whose cheapest ask is past the best taker found
-        offers.sort(key=itemgetter(0))
-        if not count:  # no class can host the task: the mean is over every node
-            hosting, count = every, len(self.nodes)
-        total = 0.0  # added left to right in node order
-        for u, s in zip(self.ucd, map(hosting.__getitem__, self.node_class)):
-            if s is not None:
-                total += up * (u * s)
-        value = total / count
-        if math.isfinite(value):
-            valued = _trusted_task({**vars(task), "value": value})
-        else:  # the prices overflowed: let the validator reject the value
-            valued = replace(task, value=value)
-        self.tasks[task.id] = valued
-        if self.config.auction_mode == "literal":
-            # allocate_tasks_literal's pick in closed form (the auction module
-            # says why), fixed now since no ask changes between rounds: an end
-            # of its own sort, not a max/min, as an infeasible ask can be NaN
-            asks = [up * (u * s) for u, s in zip(self.ucd, map(every.__getitem__, self.node_class))]
-            order = sorted(zip(asks, range(len(asks))))  # (ask, position)
-            offers = (value, self.nodes[order[-1 if value > 0 else 0][1]])
-        self.offers[task.id] = offers
-        return valued
-
-    def _take(self, task: Task):
-        """The (ask, node) a round gives the task to, or None.
-
-        The winner and payment of `run_task_auction`: the best (sign * ask,
-        node id) among the eligible nodes, which under the container-aware
-        strategy must also be able to place the task now. The eligible
-        classes come cheapest head first, and each is walked in its member
-        order, over its open members only under the container-aware
-        strategy, until its ask passes the best found so far: sign * ask
-        never falls along a class. Node ids are unique.
-        """
-        up = self.up
-        sign = self.sign
-        aucrac = self.config.strategy == "aucrac"
-        slice_ = None
-        best = None
-        best_key = best_id = None
-        for head_key, cls, s in self.offers[task.id]:
-            if best is not None and head_key > best_key:
-                break
-            members = cls.members
-            for r in (cls.open if aucrac else range(len(members))):
-                u, node_id, node = members[r]
-                ask = up * (u * s)
-                key = sign * ask
-                if best is not None:
-                    if key > best_key:
-                        break
-                    if key == best_key and node_id > best_id:
-                        continue
-                if aucrac:
-                    if slice_ is None:
-                        # it depends only on the task and the run's shared granularity
-                        slice_ = ct.slice_for(node, task)
-                    if not ct.can_place(node, task, slice_):
-                        continue
-                best, best_key, best_id = (ask, node), key, node_id
-        return best
-
-    def _handle_arrival(self, now: float, task_id: str):
-        self.arrived += 1
-        task = self.tasks[task_id]
-        if self.config.strategy in ("aucrac", "auction_basic"):
-            self._fill_value(task)
-        self.log.append((_ARRIVED, (now, task_id, task.intensity)))
-        heapq.heappush(self.heap, (now, ROUND, task_id))
-
-    def _retry(self, now: float, task: Task):
-        count = self.retries.get(task.id, 0) + 1
-        self.retries[task.id] = count
-        if count > self.config.executor.max_requeues:
-            self.failed.add(task.id)
-            del self.offers[task.id]
-            self.log.append((_FAILED, (now, task.id)))
+    def queued(self, node, before, finish):
+        # re-file the node as busy until `finish`; an entry moves to `idle` only
+        # when a pick reads the queues, so it is looked up, not placed by `before`
+        q, r = self.home[node.id]
+        busy = q.busy
+        j = bisect_left(busy, (before, r))
+        if j < len(busy) and busy[j] == (before, r):
+            del busy[j]
         else:
-            self.log.append((_RETRIED, (now, task.id, count)))
-            heapq.heappush(self.heap, (now + self.config.retry_interval_s, ROUND, task.id))
+            del q.idle[bisect_left(q.idle, r)]
+        insort(busy, (finish, r))
 
-    def _commit_whole_node(self, now: float, task: Task, node: WorkerNode) -> tuple:
-        # queue the task behind the node's last one; returns (start, finish)
-        available_at = self.state.available_at
-        before = available_at.get(node.id, 0.0)
-        start = max(now, before)
-        finish = start + execution_time(node, task)
-        available_at[node.id] = finish
-        self.pending_exec[task.id] = (node.id, "", node.cpu, task.memory, 0)
-        if self.home is not None:  # re-file the node as busy until `finish`
-            # a busy entry moves to `idle` only when a pick reads the queues,
-            # so the node is looked up, not placed by `before > now`
-            q, r = self.home[node.id]
-            busy = q.busy
-            j = bisect_left(busy, (before, r))
-            if j < len(busy) and busy[j] == (before, r):
-                del busy[j]
-            else:
-                del q.idle[bisect_left(q.idle, r)]
-            insort(busy, (finish, r))
-        return start, finish
-
-    def _pick_whole_node(self, task: Task, now: float) -> WorkerNode:
-        """The node `assign` picks; under `mct` and `greedy`, from the queues.
-
-        A node is busy while its available_at is past `now`. `mct` takes the
-        least (eta, id): a class's idle nodes share the eta `execution_time`,
-        and its busy ones have `(available_at - now) + execution_time`, which
-        never falls along `busy` but can equal the eta of the nodes before
-        it, so the equal-eta prefix is searched for the smallest rank.
-        `greedy` takes the first idle node in node order with the largest
-        cpu, or, when every node is busy, the first node with the largest cpu.
-        """
-        strategy = self.config.strategy
-        if self.home is None:
-            return self.node_by_id[assign(strategy, task, self.nodes, self.rng_dyn, self.state)]
+    def pick(self, task, now):
         best = None
         for q in self.queues:
             idle, busy = q.idle, q.busy
             while busy and busy[0][0] <= now:  # free again by now
                 insort(idle, busy.pop(0)[1])
-            if strategy == "greedy":
+            if self.greedy:
                 if idle:  # the largest cpu, then the first node
                     key = (q.head.cpu, -idle[0])
                     if best is None or key > best:
@@ -600,38 +328,265 @@ class _Engine:
             if best is None or (eta, r) < best:
                 best = (eta, r)
         if best is None:  # greedy, with every node busy
-            return self.fallback
-        return self.ranked[best[1] if strategy == "mct" else -best[1]]
+            node = self.fallback
+        else:
+            node = self.ranked[-best[1] if self.greedy else best[1]]
+        return valuation_unchecked(node, task, self.weights, self.margin), node
 
-    def _commit_container(self, now: float, task: Task, node: WorkerNode) -> tuple | None:
-        # run the task in a container now; returns (start, finish), or None
-        # when the node cannot place it after all
+
+class _NodeClass:
+    __slots__ = ("head", "members", "open")
+
+    def __init__(self, head: WorkerNode, members: list):
+        self.head = head
+        self.members = members  # (unit_cost * delta, node id, node), best first
+        self.open = None        # under `aucrac`, the ranks of the open members
+
+
+def _is_open(node: WorkerNode) -> bool:
+    return (node.free_compute >= node.executor.slice_granularity
+            or "free" in map(attrgetter("state"), node.container_pool))
+
+
+class _Auction(_Market):
+    """The winner and payment of `run_task_auction`, priced per node class.
+
+    Nodes that share (cpu, memory, power, time_const, executor_mode) share
+    every demand ratio, feasibility, eligibility and execution time. An ask
+    is `up * (unit_cost * delta * S)` with S fixed per class and task, so
+    members sorted by (sign * unit_cost * delta, id, position) are in
+    best-first order for every task. Node order is fixed for the run, so
+    the classes are built once.
+    """
+
+    placing = False  # whether a winner must also be able to place the task now
+
+    def __init__(self, engine):
+        config, w = engine.config, engine.config.weights
+        nodes = self.nodes = engine.nodes
+        self.coef = (w.lambda1, w.alpha1 * w.lambda2, w.alpha2 * w.lambda3)  # of S's ratios
+        sign = self.sign = 1.0 if config.win_rule == "lowest" else -1.0
+        self.up = 1.0 + config.bid_margin
+        ucd = self.ucd = [n.unit_cost * w.delta for n in nodes]  # by position
+        self.offers = {}  # task id -> its bidding classes, or its literal (payment, node)
+        groups = {}
+        for i, n in enumerate(nodes):
+            groups.setdefault((n.cpu, n.memory, n.power, n.time_const, n.executor_mode),
+                              []).append(i)
+        self.classes = []
+        self.node_class = [0] * len(nodes)  # class number per node position
+        for k, positions in enumerate(groups.values()):
+            positions.sort(key=lambda i: (sign * ucd[i], nodes[i].id, i))
+            self.classes.append(_NodeClass(nodes[positions[0]],
+                                           [(ucd[i], nodes[i].id, nodes[i]) for i in positions]))
+            for i in positions:
+                self.node_class[i] = k
+
+    def close(self, task_id):
+        del self.offers[task_id]
+
+    def price(self, task):
+        # the task posted at the mean ask, each as valuation_unchecked computes
+        # it; the same pass finds the classes that bid in the task's rounds
+        up, sign, (l1, a1l2, a2l3) = self.up, self.sign, self.coef
+        cycles, memory, power, deadline = task.cycles, task.memory, task.power, task.deadline
+        offers = []
+        every = []    # S per class
+        hosting = []  # S per class, None where the class cannot host the task
+        count = 0
+        for cls in self.classes:
+            node = cls.head
+            re_, rm, rp = cycles / node.cpu, memory / node.memory, power / node.power
+            s = l1 * re_ + a1l2 * rm + a2l3 * rp
+            every.append(s)
+            hosting.append(None if re_ >= 1.0 or rm >= 1.0 or rp >= 1.0 else s)
+            if hosting[-1] is None:
+                continue
+            count += len(cls.members)
+            if deadline - node.time_const * cycles / node.cpu > 0.0:
+                offers.append((sign * (up * (cls.members[0][0] * s)), cls, s))
+        # (sign * cheapest ask, class, S), cheapest first: a round stops at
+        # the first class whose cheapest ask is past the best taker found
+        offers.sort(key=itemgetter(0))
+        if not count:  # no class can host the task: the mean is over every node
+            hosting, count = every, len(self.nodes)
+        total = 0.0  # added left to right in node order
+        for u, s in zip(self.ucd, map(hosting.__getitem__, self.node_class)):
+            if s is not None:
+                total += up * (u * s)
+        value = total / count
+        if math.isfinite(value):
+            valued = _trusted_task({**vars(task), "value": value})
+        else:  # the prices overflowed: let the validator reject the value
+            valued = replace(task, value=value)
+        self.offers[task.id], self.every = offers, every  # every: S per class, for _Literal
+        return valued
+
+    def pick(self, task, now):
+        # the best (sign * ask, node id) as (ask, node): eligible classes cheapest head first,
+        # each walked (open members only when placing) until its ask, which never falls, passes
+        up, sign, placing = self.up, self.sign, self.placing
+        slice_ = best = best_key = best_id = None
+        for head_key, cls, s in self.offers[task.id]:
+            if best is not None and head_key > best_key:
+                break
+            members = cls.members
+            for r in (cls.open if placing else range(len(members))):
+                u, node_id, node = members[r]
+                ask = up * (u * s)
+                key = sign * ask
+                if best is not None:
+                    if key > best_key:
+                        break
+                    if key == best_key and node_id > best_id:
+                        continue
+                if placing:
+                    if slice_ is None:
+                        # it depends only on the task and the run's shared granularity
+                        slice_ = ct.slice_for(node, task)
+                    if not ct.can_place(node, task, slice_):
+                        continue
+                best, best_key, best_id = (ask, node), key, node_id
+        return best
+
+
+class _OpenAuction(_Auction):
+    """The container-aware auction, `aucrac`. A class's `open` holds, in
+    member order, the ranks of the members that hold a free container or at
+    least one slice granularity of free compute. Every slice is at least
+    one granularity, so a member missing from `open` cannot place any task."""
+
+    placing = True
+
+    def __init__(self, engine):
+        super().__init__(engine)
+        self.slot = {}  # node id -> [class, rank in the class, open flag]
+        for cls in self.classes:
+            flags = [_is_open(node) for _, _, node in cls.members]
+            cls.open = [r for r, flag in enumerate(flags) if flag]
+            for r, (_, node_id, _) in enumerate(cls.members):
+                self.slot[node_id] = [cls, r, flags[r]]
+
+    def booked(self, node):
+        slot = self.slot[node.id]
+        is_open = _is_open(node)
+        if is_open != slot[2]:
+            slot[2] = is_open
+            ranks = slot[0].open
+            j = bisect_left(ranks, slot[1])
+            if is_open:
+                ranks.insert(j, slot[1])
+            else:
+                del ranks[j]
+
+
+class _Literal(_Auction):
+    """`allocate_tasks_literal`'s pick in closed form (the auction module
+    says why), fixed when the task is priced since no ask changes between
+    rounds: an end of its own sort, not a max/min, as an infeasible ask
+    can be NaN."""
+
+    def price(self, task):
+        valued = super().price(task)
+        asks = [self.up * (u * s) for u, s in zip(self.ucd, map(self.every.__getitem__,
+                                                                self.node_class))]
+        order = sorted(zip(asks, range(len(asks))))  # (ask, position)
+        self.offers[task.id] = (valued.value,
+                                self.nodes[order[-1 if valued.value > 0 else 0][1]])
+        return valued
+
+    def pick(self, task, now):
+        return self.offers[task.id]
+
+
+# -- executors: how a placed task runs on its node ---------------------------
+
+class _Executor:
+    """Runs the tasks the market places; one per run. `commit(now, task,
+    node)` returns the task's (start, finish), or None when the node cannot
+    take it after all. `start`, `finish` and `release` run at the task's
+    events, `reap` before each round and `check` after each event."""
+
+    def __init__(self, engine, market: _Market):
+        self.market, self.pending, self.peak = market, engine.pending_exec, engine.peak_mem
+
+    def start(self, *args):
+        """Nothing to do under this executor."""
+
+    finish = release = reap = check = start
+
+
+class _WholeNode(_Executor):
+    """Each task runs alone on the whole node, FIFO behind the node's last."""
+
+    def __init__(self, engine, market):
+        super().__init__(engine, market)
+        self.available_at = {}
+        self.whole_mem = {n.id: 0.0 for n in engine.nodes}
+
+    def commit(self, now, task, node):
+        before = self.available_at.get(node.id, 0.0)
+        start = max(now, before)
+        finish = self.available_at[node.id] = start + execution_time(node, task)
+        self.pending[task.id] = (node.id, "", node.cpu, task.memory, 0)
+        self.market.queued(node, before, finish)
+        return start, finish
+
+    def start(self, node_id, mem):
+        live = self.whole_mem[node_id] = self.whole_mem[node_id] + mem
+        self.peak[node_id] = max(self.peak[node_id], live)
+
+    def finish(self, node_id, mem):
+        self.whole_mem[node_id] -= mem
+
+
+class _Containers(_Executor):
+    """Each task runs in a container on a slice of the node's compute. The
+    container is released when the task finishes, and reaped once idle for
+    the TTL. Only a create, reuse, release or reap changes a node's books,
+    so each event checks the nodes it touched."""
+
+    def __init__(self, engine, market):
+        super().__init__(engine, market)
+        self.nodes, self.heap, self.log = engine.nodes, engine.heap, engine.log
+        self.node_by_id, self.ttl = engine.node_by_id, engine.config.executor.idle_ttl_s
+        self.node_index = {n.id: i for i, n in enumerate(self.nodes)}
+        self.freed = deque()  # (freed_at, node index) per container release, in time order
+        self.touched = []     # nodes whose container books the current event changed
+
+    def commit(self, now, task, node):
         decision = ct.select_container(node, task)
         if decision.action == "requeue":
             return None
         if decision.action == "reuse":
             container = next(c for c in node.container_pool if c.id == decision.container_id)
             container.mark_busy()
-            created = 0
         else:
             try:
                 container = ct.create_container(node, task)
             except PlacementRejected:
                 return None
-            created = 1
-            self._touch_mem(node.id)  # only a create adds memory; a reuse holds it already
-        self.pending_exec[task.id] = (node.id, container.id, container.compute,
-                                      container.memory, created)
+            # only a create adds memory; a reuse holds it already
+            self.peak[node.id] = max(self.peak[node.id], node.memory - node.free_memory)
+        self.pending[task.id] = (node.id, container.id, container.compute, container.memory,
+                                 int(decision.action == "create"))
         self._touch(node)
-        return now, now + task.cycles / container.compute
+        finish = now + task.cycles / container.compute
+        heapq.heappush(self.heap, (finish, RELEASE, task.id))
+        return now, finish
 
-    def _reap(self, now: float):
-        # a node can only have something to reap if it freed a container at
-        # least one TTL ago; releases arrive in time order, so the due
-        # entries sit at the front of the FIFO
-        ttl = self.config.executor.idle_ttl_s
+    def release(self, now, task_id):
+        node_id, container_id, cc, mem, _created = self.pending[task_id]
+        node = self.node_by_id[node_id]
+        ct.release_container(node, container_id, now)
+        self.freed.append((now, self.node_index[node_id]))
+        self._touch(node)
+        self.log.append((_RELEASED, (now, task_id, node_id, container_id, cc, mem)))
+
+    def reap(self, now):
+        # only nodes that freed a container a TTL ago can reap; frees come in time order
         due = set()
-        while self.freed and now - self.freed[0][0] >= ttl:
+        while self.freed and now - self.freed[0][0] >= self.ttl:
             due.add(self.freed.popleft()[1])
         for i in sorted(due):
             self._reap_node(self.nodes[i], now)
@@ -644,71 +599,122 @@ class _Engine:
                 self.log.append((_REAPED, (now, node.id, gone.id, gone.compute, gone.memory)))
         return len(reaped)
 
-    def _literal_round(self, task: Task) -> tuple:
-        # the (payment, node) that _fill_value fixed when it posted the task
-        return self.offers[task.id]
+    def _touch(self, node: WorkerNode):
+        self.touched.append(node)
+        self.market.booked(node)
+
+    def check(self, now):
+        if self.touched:
+            _check_books(self.touched, f"at t={now!r}")
+            self.touched.clear()
+
+
+class _Engine:
+    """One run: the event heap, the log records and the metrics. Which node
+    hosts a task is its market's choice, and how it runs there its
+    executor's."""
+
+    # slots keep every `self.x` load in the event loop at a fixed offset
+    __slots__ = ("config", "rng_nodes", "rng_workload", "rng_dyn", "nodes", "node_by_id",
+                 "market", "executor", "tasks", "heap", "log", "payments", "retries",
+                 "pending_exec", "finished", "failed", "arrived", "per_node_tasks", "peak_mem",
+                 "busy_cc", "cpu_acc", "cpu_last")
+
+    def __init__(self, config: SimConfig):
+        self.config = config
+        base = new_rng(config.seed)
+        self.rng_nodes, self.rng_workload, self.rng_dyn = (base.fork(k) for k in (1, 2, 3))
+        self.nodes = self._build_nodes()
+        self.node_by_id = {n.id: n for n in self.nodes}
+        self.tasks, self.heap, self.log = {}, [], _Records()
+        self.payments, self.retries = {}, {}
+        self.pending_exec = {}  # task id -> (node id, container id, cc, mem, created)
+        self.finished = {}      # task id -> (completion seconds, missed flag)
+        self.failed, self.arrived = set(), 0
+        self.per_node_tasks = {n.id: 0 for n in self.nodes}
+        self.peak_mem = {n.id: 0.0 for n in self.nodes}
+        self.busy_cc, self.cpu_acc, self.cpu_last = ({n.id: 0.0 for n in self.nodes}
+                                                     for _ in range(3))
+        market, executor = self._parts()
+        self.market = market(self)
+        self.executor = executor(self, self.market)
+
+    def _parts(self) -> tuple:
+        # the run's (market, executor): the only reader of strategy and auction mode
+        strategy = self.config.strategy
+        if strategy not in ("aucrac", "auction_basic"):
+            market = _Queues if strategy in ("mct", "greedy") else _Assign
+        elif self.config.auction_mode == "literal":
+            market = _Literal
+        else:
+            market = _OpenAuction if strategy == "aucrac" else _Auction
+        return market, _Containers if strategy == "aucrac" else _WholeNode
+
+    def _build_nodes(self):
+        # the templates in turn; a small deterministic price spread keeps
+        # identical templates distinguishable
+        return [WorkerNode(id=f"wn{i:03d}", cpu=t.cpu, memory=t.memory_mb, power=t.power_w,
+                           unit_cost=t.unit_cost * self.rng_nodes.uniform(0.95, 1.05),
+                           time_const=t.time_const_s, executor_mode=t.executor_mode,
+                           executor=self.config.executor)
+                for i, t in enumerate(islice(cycle(self.config.node_templates),
+                                             self.config.num_workers))]
+
+    def _cpu_change(self, node_id: str, delta: float, now: float):
+        span = now - self.cpu_last[node_id]
+        if span > 0:
+            self.cpu_acc[node_id] += (self.busy_cc[node_id] / self.node_by_id[node_id].cpu) * span
+            self.cpu_last[node_id] = now
+        self.busy_cc[node_id] += delta
+
+    # -- handlers ----------------------------------------------------------
+
+    def _handle_arrival(self, now: float, task_id: str):
+        self.arrived += 1
+        task = self.tasks[task_id] = self.market.price(self.tasks[task_id])
+        self.log.append((_ARRIVED, (now, task_id, task.intensity)))
+        heapq.heappush(self.heap, (now, ROUND, task_id))
 
     def _handle_round(self, now: float, task_id: str):
         task = self.tasks[task_id]
-        strategy = self.config.strategy
-        auction = strategy in ("aucrac", "auction_basic")
-        if strategy == "aucrac":
-            self._reap(now)
-        self.state.now = now
-
-        if not auction:
-            node = self._pick_whole_node(task, now)
-            payment = valuation_unchecked(node, task, self.config.weights, self.config.bid_margin)
-        else:
-            pick = self._literal_round(task) if self.config.auction_mode == "literal" else self._take(task)
-            if pick is None:
-                self._retry(now, task)
-                return
+        self.executor.reap(now)
+        pick = self.market.pick(task, now)
+        span = None if pick is None else self.executor.commit(now, task, pick[1])
+        if span is not None:
             payment, node = pick
-        commit = self._commit_container if strategy == "aucrac" else self._commit_whole_node
-        span = commit(now, task, node)
-        if span is None:
-            self._retry(now, task)
+            self.market.close(task_id)
+            self.payments[task_id] = payment
+            heapq.heappush(self.heap, (span[0], START, task_id))
+            heapq.heappush(self.heap, (span[1], FINISH, task_id))
+            self.log.append((_ASSIGNED, (now, task_id, node.id, node.id, payment)))
             return
-        if auction:
-            del self.offers[task_id]
-        self.payments[task_id] = payment
-        heapq.heappush(self.heap, (span[0], START, task_id))
-        heapq.heappush(self.heap, (span[1], FINISH, task_id))
-        self.log.append((_ASSIGNED, (now, task_id, node.id, node.id, payment)))
+        count = self.retries[task_id] = self.retries.get(task_id, 0) + 1
+        if count > self.config.executor.max_requeues:
+            self.failed.add(task_id)
+            self.market.close(task_id)
+            self.log.append((_FAILED, (now, task_id)))
+        else:
+            self.log.append((_RETRIED, (now, task_id, count)))
+            heapq.heappush(self.heap, (now + self.config.retry_interval_s, ROUND, task_id))
 
     def _handle_exec_start(self, now: float, task_id: str):
         node_id, container_id, cc, mem, created = self.pending_exec[task_id]
-        node = self.node_by_id[node_id]
         self.per_node_tasks[node_id] += 1
         self._cpu_change(node_id, cc, now)
-        if not container_id:  # a container's memory was sampled when it was created
-            self.whole_mem[node_id] += mem
-            self._touch_mem(node_id)
-        self.log.append((_STARTED, (now, task_id, node_id, container_id, cc, node.cpu, mem,
-                                    created)))
+        self.executor.start(node_id, mem)
+        self.log.append((_STARTED, (now, task_id, node_id, container_id, cc,
+                                    self.node_by_id[node_id].cpu, mem, created)))
 
     def _handle_exec_finish(self, now: float, task_id: str):
         node_id, container_id, cc, mem, _created = self.pending_exec[task_id]
         task = self.tasks[task_id]
         completion = now - task.arrival_time
-        missed = completion > task.deadline
-        self.finished[task_id] = (completion, missed)
-        if not container_id:
-            self._cpu_change(node_id, -cc, now)
-            self.whole_mem[node_id] -= mem
-        else:
-            heapq.heappush(self.heap, (now, RELEASE, task_id))
-        self.log.append((_FINISHED, (now, task_id, node_id, container_id, cc, mem, completion)))
-
-    def _handle_release(self, now: float, task_id: str):
-        node_id, container_id, cc, mem, _created = self.pending_exec[task_id]
-        node = self.node_by_id[node_id]
-        ct.release_container(node, container_id, now)
-        self.freed.append((now, self.node_index[node_id]))
-        self._touch(node)
+        self.finished[task_id] = (completion, completion > task.deadline)
+        # a container's compute is released at this instant too, and its
+        # release events run in this same task order
         self._cpu_change(node_id, -cc, now)
-        self.log.append((_RELEASED, (now, task_id, node_id, container_id, cc, mem)))
+        self.executor.finish(node_id, mem)
+        self.log.append((_FINISHED, (now, task_id, node_id, container_id, cc, mem, completion)))
 
     # -- main loop ---------------------------------------------------------
 
@@ -717,14 +723,19 @@ class _Engine:
             self.tasks[task.id] = task
             heapq.heappush(self.heap, (task.arrival_time, ARRIVAL, task.id))
         handlers = (self._handle_arrival, self._handle_round, self._handle_exec_finish,
-                    self._handle_release, self._handle_exec_start)  # indexed by rank
+                    self.executor.release, self._handle_exec_start)  # indexed by rank
+        check = self.executor.check  # the books of the nodes each event touched
         horizon = self.config.horizon_s
+        last = 0.0
         while self.heap:
             time, rank, task_id = heapq.heappop(self.heap)
             if time > horizon:
                 break
             handlers[rank](time, task_id)
-            self._check_invariants(time)
+            if time < last - 1e-9:
+                raise StateError(f"event time went backwards: {time} after {last}")
+            last = time
+            check(time)
         _check_books(self.nodes, "at the end of the run")
         return SimResult(metrics=self._metrics(), log_lines=self.log,
                          tasks=tuple(self.tasks.values()), nodes=tuple(self.nodes))
@@ -733,36 +744,27 @@ class _Engine:
         horizon = self.config.horizon_s
         completions = sorted(c for c, _ in self.finished.values())
         missed = sum(1 for _, m in self.finished.values() if m)
-        completed = len(self.finished) - missed
-        in_flight = self.arrived - len(self.finished) - len(self.failed)
-        unit_price = self.config.unit_price
         profit = 0.0
         for tid in self.finished:  # the fold of mn_profit, in the same order
-            profit += mn_revenue(self.tasks[tid], unit_price) - self.payments[tid]
+            profit += mn_revenue(self.tasks[tid], self.config.unit_price) - self.payments[tid]
         if not math.isfinite(profit):
             # a payment may have overflowed: let the outcome validator reject it
             for tid in self.finished:
                 AuctionOutcome(task_id=tid, winner=self.pending_exec[tid][0],
                                payment=self.payments[tid])
-        mean = left_sum(completions) / len(completions) if completions else 0.0
-        median = _percentile(completions, 0.5)
-        p95 = _percentile(completions, 0.95)
         cpu_fracs = []
         for node in self.nodes:
             self._cpu_change(node.id, 0.0, horizon)  # close the integral at the horizon
             cpu_fracs.append(self.cpu_acc[node.id] / horizon if horizon > 0 else 0.0)
+        per_node = tuple(self.per_node_tasks[n.id] for n in self.nodes)
         return MetricsRecord(
-            tasks_arrived=self.arrived,
-            tasks_completed=completed,
-            deadline_miss=missed,
-            failed_to_place=len(self.failed),
-            in_flight=in_flight,
-            mean_completion_s=mean,
-            median_completion_s=median,
-            p95_completion_s=p95,
-            fairness_jain=jain_fairness([self.per_node_tasks[n.id] for n in self.nodes]),
-            mn_profit=profit,
-            per_node_tasks=tuple(self.per_node_tasks[n.id] for n in self.nodes),
+            tasks_arrived=self.arrived, tasks_completed=len(self.finished) - missed,
+            deadline_miss=missed, failed_to_place=len(self.failed),
+            in_flight=self.arrived - len(self.finished) - len(self.failed),
+            mean_completion_s=left_sum(completions) / len(completions) if completions else 0.0,
+            median_completion_s=_percentile(completions, 0.5),
+            p95_completion_s=_percentile(completions, 0.95),
+            fairness_jain=jain_fairness(per_node), mn_profit=profit, per_node_tasks=per_node,
             peak_memory_mb=tuple(self.peak_mem[n.id] for n in self.nodes),
             mean_cpu_frac=left_sum(cpu_fracs) / len(cpu_fracs) if cpu_fracs else 0.0,
         )
@@ -779,10 +781,7 @@ def utilization_series(log_lines) -> dict:
     The replay uses only what the lines carry, so it independently
     cross-checks the engine's own accounting.
     """
-    busy = {}
-    mem = {}
-    cap = {}
-    series = {}
+    busy, mem, cap, series = {}, {}, {}, {}
 
     def sample(node_id, time):
         frac = busy.get(node_id, 0.0) / cap[node_id] if node_id in cap else 0.0

@@ -1,20 +1,24 @@
-"""The event engine with each fast path replaced by the definition it
-reproduces: the oracle every fast path is tested against.
+"""The event engine with each market and executor replaced by the
+definition it reproduces: the oracle every fast path is tested against.
 
-- `_fill_value`: the left-fold mean of `valuation` over the nodes that can
-  host the task, or of `valuation_unchecked` over every node when none can.
-- `_take`: `run_task_auction` over every node.
-- `_literal_round`: `allocate_tasks_literal`, its standing bids carried from
-  round to round.
-- `_reap`: `reap_idle` on every node, in node order, on every container round.
-- `_check_invariants`: the books of every node after every event, and each
-  class's open list against its definition, the one piece of fast-path state
-  that no output shows.
-- `_pick_whole_node`: `assign` over every node, for every whole-node
-  strategy; the engine's `mct` and `greedy` queues are still re-filed on
-  each commit, but never read.
+- `price` of every auction market: the left-fold mean of `valuation` over
+  the nodes that can host the task, or of `valuation_unchecked` over every
+  node when none can.
+- `pick` of the class auctions (`sim._Auction`, `sim._OpenAuction`):
+  `run_task_auction` over every node.
+- `pick` of the literal market (`sim._Literal`): `allocate_tasks_literal`,
+  its standing bids carried from round to round.
+- `pick` of both whole-node markets (`sim._Assign`, `sim._Queues`):
+  `assign` over every node.
+- `reap` of the container executor: `reap_idle` on every node, in node
+  order, on every round.
+- `check` of both executors: the books of every node after every event,
+  and each class's open list against its definition, the one piece of
+  fast-path state that no output shows. The reference auctions keep the
+  open lists of `sim._OpenAuction` for this check, but never read them.
 
-A new fast path adds its definition here as one more override. `market`
+A new market or executor adds its reference class here, in `REFERENCE`,
+which maps each class the engine can choose to its reference. `market`
 draws the nodes and tasks of the single-round comparison, `same_round`, and
 `whole_node_steps` those of the pick-by-pick one, `same_picks`.
 """
@@ -34,48 +38,48 @@ from aucrac.rng import new_rng
 
 
 def over(nodes, engine=sim._Engine):
-    """`engine` with its class index built over the given nodes."""
+    """`engine`, run over the given nodes."""
     return type("GivenNodes", (engine,), {"_build_nodes": lambda self: nodes})
 
 
-class ReferenceEngine(sim._Engine):
-    """`seen` counts what the engine met: rounds taken and retried, closed
-    members, literal rounds of positive and of zero posted value, literal
-    rounds with a NaN ask, and reaped containers; and whole-node picks of
-    a busy node under `mct`, `mct` picks whose least eta is shared across
-    classes or by a busy node, `greedy` picks while every node is busy, and
-    `greedy` picks tied with a node of smaller id."""
+class _Reference:
+    """A market or executor that keeps its engine, and counts into its `seen`."""
 
-    def __init__(self, config):
-        self.seen = Counter()
-        self.bids = None  # the batch procedure's standing bids
-        super().__init__(config)
+    def __init__(self, engine, *market):
+        super().__init__(engine, *market)
+        self.engine, self.seen = engine, engine.seen
 
-    def _fill_value(self, task):
-        weights, margin = self.config.weights, self.config.bid_margin
+
+class ReferenceAuction(_Reference, sim._OpenAuction):
+    def price(self, task):
+        config = self.engine.config
         asks = []
         for node in self.nodes:
             try:
-                asks.append(valuation(node, task, weights, margin))
+                asks.append(valuation(node, task, config.weights, config.bid_margin))
             except InfeasibleError:
                 continue
         if not asks:
-            asks = [valuation_unchecked(node, task, weights, margin) for node in self.nodes]
-        valued = replace(task, value=sim.left_sum(asks) / len(asks))
-        self.tasks[task.id] = valued
+            asks = [valuation_unchecked(node, task, config.weights, config.bid_margin)
+                    for node in self.nodes]
         self.offers[task.id] = None  # the round drops the entry when it assigns or fails
-        return valued
+        return replace(task, value=sim.left_sum(asks) / len(asks))
 
-    def _take(self, task):
-        outcome = sim.run_task_auction(task, self.nodes, self.config, self.state.now)
+    def pick(self, task, now):
+        outcome = sim.run_task_auction(task, self.nodes, self.engine.config, now)
         if outcome is None or outcome.winner is None:
             self.seen["retried"] += 1
             return None
         self.seen["taken"] += 1
-        return outcome.payment, self.node_by_id[outcome.winner]
+        return outcome.payment, self.engine.node_by_id[outcome.winner]
 
-    def _literal_round(self, task):
-        asks = [valuation_unchecked(n, task, self.config.weights, self.config.bid_margin)
+
+class ReferenceLiteral(ReferenceAuction):
+    bids = None  # the batch procedure's standing bids
+
+    def pick(self, task, now):
+        config = self.engine.config
+        asks = [valuation_unchecked(n, task, config.weights, config.bid_margin)
                 for n in self.nodes]
         alloc = allocate_tasks_literal(asks, [task], initial_bids=self.bids)
         self.bids = alloc.bids
@@ -83,35 +87,33 @@ class ReferenceEngine(sim._Engine):
         self.seen["nan_asks"] += any(a != a for a in asks)
         return task.value, self.nodes[alloc.order[alloc.assignments[0]]]
 
-    def _pick_whole_node(self, task, now):
-        strategy = self.config.strategy
-        node = self.node_by_id[sim.assign(strategy, task, self.nodes, self.rng_dyn, self.state)]
-        available_at = self.state.available_at
+
+class ReferenceAssign(_Reference, sim._Assign):
+    def pick(self, task, now):
+        available_at = self.state.available_at = self.engine.executor.available_at
+        self.state.now = now
+        node = self.node_by_id[sim.assign(self.strategy, task, self.nodes, self.rng, self.state)]
         busy = {n.id for n in self.nodes if available_at.get(n.id, 0.0) > now}
-        if strategy == "mct":
+        if self.strategy == "mct":
             eta = {n.id: max(0.0, available_at.get(n.id, 0.0) - now) + execution_time(n, task)
                    for n in self.nodes}
             tied = [n for n in self.nodes if eta[n.id] == eta[node.id]]
             self.seen["busy"] += node.id in busy
             self.seen["class_tie"] += len({(n.cpu, n.time_const) for n in tied}) > 1
             self.seen["busy_tie"] += len(tied) > 1 and any(n.id in busy for n in tied)
-        elif strategy == "greedy":
+        elif self.strategy == "greedy":
             tied = [n for n in self.nodes
                     if n.cpu == node.cpu and (n.id in busy) == (node.id in busy)]
             self.seen["all_busy"] += len(busy) == len(self.nodes)
             self.seen["position_not_id"] += min(n.id for n in tied) != node.id
-        return node
+        return valuation_unchecked(node, task, self.weights, self.margin), node
 
-    def _reap(self, now):
-        self.freed.clear()  # the fast path's queue of due nodes
-        for node in self.nodes:
-            self.seen["reaped"] += self._reap_node(node, now)
 
-    def _check_invariants(self, now):
-        self.touched.clear()  # every node is checked, not only those the event touched
-        super()._check_invariants(now)
-        sim._check_books(self.nodes, f"at t={now!r}")
-        for cls in getattr(self, "classes", ()):  # the auctions' classes, not mct/greedy's queues
+class _FullCheck(_Reference):
+    def check(self, now):
+        super().check(now)
+        sim._check_books(self.engine.nodes, f"at t={now!r}")
+        for cls in getattr(self.market, "classes", ()):  # the auctions', not the queues
             # open: a free container, or room for the smallest slice
             ranks = [r for r, (_, _, node) in enumerate(cls.members)
                      if any(c.state == "free" for c in node.container_pool)
@@ -120,17 +122,52 @@ class ReferenceEngine(sim._Engine):
             self.seen["closed"] += len(cls.members) - len(ranks)
 
 
+class ReferenceWholeNode(_FullCheck, sim._WholeNode):
+    pass
+
+
+class ReferenceContainers(_FullCheck, sim._Containers):
+    def reap(self, now):
+        self.freed.clear()  # the fast path's queue of due nodes
+        for node in self.nodes:
+            self.seen["reaped"] += self._reap_node(node, now)
+
+
+# each market and executor class of the engine -> its reference
+REFERENCE = {sim._Auction: ReferenceAuction, sim._OpenAuction: ReferenceAuction,
+             sim._Literal: ReferenceLiteral, sim._Assign: ReferenceAssign,
+             sim._Queues: ReferenceAssign,
+             sim._WholeNode: ReferenceWholeNode, sim._Containers: ReferenceContainers}
+
+
+class ReferenceEngine(sim._Engine):
+    """The engine run by the reference markets and executors. `seen` counts
+    what the run met: rounds taken and retried, closed members, literal
+    rounds of positive and of zero posted value, literal rounds with a NaN
+    ask, and reaped containers; and whole-node picks of a busy node under
+    `mct`, `mct` picks whose least eta is shared across classes or by a busy
+    node, `greedy` picks while every node is busy, and `greedy` picks tied
+    with a node of smaller id."""
+
+    def __init__(self, config):
+        self.seen = Counter()
+        super().__init__(config)
+
+    def _parts(self):
+        return tuple(REFERENCE[part] for part in super()._parts())
+
+
 def same_round(nodes, tasks, config):
     """Both engines price and take each task in turn over the given nodes. A
     pick is compared as (ask, node id), because the nodes may share an id.
     Returns the picks."""
     fast, reference = over(nodes)(config), over(nodes, ReferenceEngine)(config)
-    reference._check_invariants(0.0)  # the open lists of prefilled pools
+    reference.executor.check(0.0)  # the open lists of prefilled pools
     got = []
     for task in tasks:
-        assert fast._fill_value(task) == reference._fill_value(task)
-        picks = [pick and (pick[0], pick[1].id) for pick in (fast._take(task),
-                                                             reference._take(task))]
+        assert fast.market.price(task) == reference.market.price(task)
+        picks = [pick and (pick[0], pick[1].id) for pick in (fast.market.pick(task, 0.0),
+                                                             reference.market.pick(task, 0.0))]
         assert picks[0] == picks[1], picks
         got.append(picks[0])
     return got
@@ -144,9 +181,8 @@ def same_picks(nodes, steps, config):
     for now, task in steps:
         picks = []
         for engine in (fast, reference):
-            engine.state.now = now
-            node = engine._pick_whole_node(task, now)
-            engine._commit_whole_node(now, task, node)
+            node = engine.market.pick(task, now)[1]
+            engine.executor.commit(now, task, node)
             picks.append(node.id)
         assert picks[0] == picks[1], (now, task.cycles, picks)
         got.append(picks[0])

@@ -274,7 +274,9 @@ def test_main_rejects_the_completion_figure_before_a_strategy_sweep_runs(tmp_pat
 
 
 @pytest.mark.parametrize("field, values", [("sweep_values", (2, 2)),
-                                           ("strategies", ("mct", "mct")), ("seeds", (0, 0))])
+                                           ("strategies", ("mct", "mct")), ("seeds", (0, 0)),
+                                           ("seeds", (1, 2**64 + 1)),
+                                           ("seeds", (1, -(2**64) + 1))])
 def test_experiment_spec_rejects_a_repeat_that_would_merge_aggregate_groups(field, values):
     with pytest.raises(ConstraintError, match=f"^{field}: must be distinct$"):
         ExperimentSpec(base=default_config(), **{field: values})

@@ -1,6 +1,7 @@
 """Container selection, lifecycle, and the executor memory model."""
 
 import copy
+import signal
 
 import pytest
 
@@ -55,6 +56,25 @@ def test_slice_scales_with_granularity():
     s = slice_for(node, _task(cycles=3e9, td_max=2.0))
     assert s == 2e9  # 1.5e9 needed, rounded up to one 2e9 granule
     assert s % 2e9 == 0
+
+
+@pytest.mark.parametrize("granularity", [1e-8, 1e-12])
+def test_slice_returns_when_the_granularity_is_below_an_ulp_of_the_slice(granularity):
+    # adding a granularity below the slice's ulp changes nothing, so a guard
+    # that only adds it never leaves the loop; an interval timer stops a hang
+    task = _task(cycles=1e9, td_max=3.0)
+
+    def hang(signum, frame):
+        raise TimeoutError("slice_for did not return within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        s = slice_for(_node(granularity=granularity), task)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert task.cycles / s < task.td_max
 
 
 # --- selection ------------------------------------------------------------

@@ -167,8 +167,8 @@ def test_one_pass_pricing_excludes_a_ratio_of_one_and_a_deadline_met_exactly():
     engine = over(nodes)(config)
     hosted = [valuation(exact, task, w, 0.1), valuation(inside, task, w, 0.1)]
     assert hosted[0] > hosted[1]
-    assert engine._fill_value(task).value == left_sum(hosted) / 2  # a stays out
+    assert engine.market.price(task).value == left_sum(hosted) / 2  # a stays out
     outcome = run_task_auction(task, nodes, config, 0.0)
     assert [(b.node_id, b.eligible) for b in outcome.losing_bids] == [("b", 0)]
     assert (outcome.winner, outcome.payment) == ("c", hosted[1])
-    assert engine._take(task) == (hosted[1], inside)
+    assert engine.market.pick(task, 0.0) == (hosted[1], inside)

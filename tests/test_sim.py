@@ -129,7 +129,7 @@ def test_unknown_strategy_is_rejected():
 
 @pytest.mark.parametrize("strategy", ["aucrac", "auction_basic"])
 def test_assign_is_only_for_whole_node_strategies(strategy):
-    # the engine prices auction rounds itself (_Engine._take); assign has no auction
+    # the auction markets price their rounds themselves; assign has no auction
     with pytest.raises(InputError, match=f"unknown strategy '{strategy}'"):
         assign(strategy, _simple_task(), _hand_nodes(), new_rng(0), SimState())
 
@@ -519,7 +519,7 @@ def test_a_whole_node_round_does_the_same_work_at_100_and_1000_workers(monkeypat
         calls.clear()
         engine = sim._Engine(default_config(num_devices=1000, num_workers=workers,
                                             strategy=strategy))
-        engine.state.available_at = Reads()
+        engine.executor.available_at = Reads()
         rounds = sum(",auction_round," in ln for ln in engine.run().log_lines)
         assert rounds == 3000
         assert calls == {"execution_time": per_round * rounds, "available_at": rounds}
@@ -608,19 +608,13 @@ def test_books_hold_at_any_node_capacity(config):
     assert any("destroyed=1" in ln for ln in run(config).log_lines)
 
 
-def test_end_of_run_scan_catches_a_node_no_event_touches(monkeypatch):
-    build = sim._Engine._build_nodes
-
-    def corrupting(engine):
-        nodes = build(engine)
-        nodes[-1].free_memory -= 1.0
-        return nodes
-
-    monkeypatch.setattr(sim._Engine, "_build_nodes", corrupting)
+def test_end_of_run_scan_catches_a_node_no_event_touches():
+    engine = sim._Engine(default_config(strategy="round_robin", seed=0))
+    engine.nodes[-1].free_memory -= 1.0
     # whole-node strategies never touch a node's container books
     with pytest.raises(StateError, match="wn009: container memory books disagree "
                                          "at the end of the run"):
-        run(default_config(strategy="round_robin", seed=0))
+        engine.run()
 
 
 def test_reaping_follows_the_idle_ttl_boundary_of_reap_idle():
@@ -629,12 +623,12 @@ def test_reaping_follows_the_idle_ttl_boundary_of_reap_idle():
     container = ct.create_container(node, _simple_task())
     engine.pending_exec["tx"] = (node.id, container.id, container.compute,
                                  container.memory, 1)
-    engine._handle_release(1.0, "tx")
+    engine.executor.release(1.0, "tx")
     ttl = node.executor.idle_ttl_s
-    engine._reap(1.0 + ttl - 1e-9)
+    engine.executor.reap(1.0 + ttl - 1e-9)
     assert node.container_pool == [container]
     # idle for exactly one TTL: reap_idle destroys it, so the engine must ask
-    engine._reap(1.0 + ttl)
+    engine.executor.reap(1.0 + ttl)
     assert node.container_pool == []
     lines = sim.SimResult(metrics=None, log_lines=engine.log, tasks=(), nodes=()).log_lines
     reaped = parse_event_line(lines[-1])
@@ -651,7 +645,7 @@ def test_the_valued_task_equals_a_validated_copy(win_rule, seed):
     config = default_config(num_devices=20, seed=seed, win_rule=win_rule)
     engine = sim._Engine(config)
     for task in generate_workload(config, new_rng(seed)):
-        valued = engine._fill_value(task)
+        valued = engine.market.price(task)
         assert valued == replace(task, value=valued.value)
         assert repr(valued) == repr(replace(task, value=valued.value))
 
