@@ -107,12 +107,6 @@ def _run_one(config: SimConfig):
     return run(config).metrics
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def run_experiment(spec: ExperimentSpec) -> tuple:
     """Run the sweep; write results.csv and aggregate.csv under out_dir.
 
@@ -140,8 +134,8 @@ def run_experiment(spec: ExperimentSpec) -> tuple:
     with open(results_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(RESULTS_HEADER + "\n")
         for value, strategy, seed, vals in rows:
-            cells = [spec.sweep_var, _fmt(value), strategy, str(seed)]
-            cells.extend(_fmt(v) for v in vals)
+            cells = [spec.sweep_var, str(value), strategy, str(seed)]
+            cells.extend(map(str, vals))
             fh.write(",".join(cells) + "\n")
 
     # aggregate across seeds, population stddev so a single seed reads as 0
@@ -155,12 +149,12 @@ def run_experiment(spec: ExperimentSpec) -> tuple:
             header.extend((f"{name}_mean", f"{name}_std"))
         fh.write(",".join(header) + "\n")
         for (value, strategy), rows_v in groups.items():
-            cells = [spec.sweep_var, _fmt(value), strategy, str(len(rows_v))]
+            cells = [spec.sweep_var, str(value), strategy, str(len(rows_v))]
             for i in range(len(_AGG_METRICS)):
                 xs = [r[i] for r in rows_v]
                 mean = left_sum(xs) / len(xs)
                 var = max(0.0, left_sum(x * x for x in xs) / len(xs) - mean * mean)
-                cells.extend((_fmt(mean), _fmt(math.sqrt(var))))
+                cells.extend((str(mean), str(math.sqrt(var))))
             fh.write(",".join(cells) + "\n")
     log.info("wrote %s and %s", results_path, agg_path)
     return results_path, agg_path
@@ -189,6 +183,19 @@ def _reference_node() -> WorkerNode:
                       executor_mode=t.executor_mode, executor=cfg.executor)
 
 
+def _device_count(sweep_var: str, value) -> float:
+    """The x of the completion figure, which needs a devices sweep: a
+    strategy sweep has no numeric axis, and a workers sweep another one."""
+    try:
+        if sweep_var == "devices":
+            return float(value)
+    except ValueError:
+        pass
+    kind = "devices" if sweep_var == "workers" else "numeric"
+    raise InputError(f"figure completion_vs_devices needs a {kind} sweep, got "
+                     f"{sweep_var}={value}")
+
+
 def emit_plot_data(results_csv: str, figure: str, out_dir: str | None = None) -> list:
     """Write two-column data files for one figure; returns the paths written.
 
@@ -208,7 +215,7 @@ def emit_plot_data(results_csv: str, figure: str, out_dir: str | None = None) ->
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("x,y\n")
             for x, y in pairs:
-                fh.write(f"{_fmt(x)},{_fmt(y)}\n")
+                fh.write(f"{x},{y}\n")
         written.append(path)
 
     def order(strategy):  # strategies this version does not know go last
@@ -217,11 +224,7 @@ def emit_plot_data(results_csv: str, figure: str, out_dir: str | None = None) ->
     if figure == "completion_vs_devices":
         series = {}
         for r in rows:
-            try:
-                x = float(r["sweep_value"])
-            except ValueError:
-                raise InputError(f"figure {figure} needs a numeric sweep, got "
-                                 f"{r['sweep_var']}={r['sweep_value']}") from None
+            x = _device_count(r["sweep_var"], r["sweep_value"])
             series.setdefault((r["strategy"], x), []).append(float(r["mean_completion_s"]))
         for strategy in sorted({s for s, _ in series}, key=order):
             pairs = sorted((x, left_sum(v) / len(v)) for (s, x), v in series.items()
@@ -236,7 +239,7 @@ def emit_plot_data(results_csv: str, figure: str, out_dir: str | None = None) ->
             fh.write("strategy,fairness_jain_mean\n")
             for strategy in sorted(by_strategy, key=order):
                 vals = by_strategy[strategy]
-                fh.write(f"{strategy},{_fmt(left_sum(vals) / len(vals))}\n")
+                fh.write(f"{strategy},{left_sum(vals) / len(vals)}\n")
         written.append(path)
     elif figure == "memory_vs_tasks":
         node = _reference_node()
@@ -324,16 +327,15 @@ def main(argv=None) -> int:
         if args.sweep:
             sweep_var, sweep_values = _parse_sweep(args.sweep)
         seeds = _parse_seeds(args.seeds) if args.seeds else tuple(range(30))
-        unplottable = "completion_vs_devices" if sweep_var == "strategy" else None
         if args.emit_plots == "all":  # every figure the sweep supports
-            figures = tuple(f for f in FIGURES if f != unplottable)
+            figures = tuple(f for f in FIGURES
+                            if sweep_var == "devices" or f != "completion_vs_devices")
         else:
             figures = tuple(f.strip() for f in (args.emit_plots or "").split(",") if f.strip())
         for figure in figures:  # a bad figure fails before the sweep, not after it
             _in_enum("figure", figure, FIGURES)
-            if figure == unplottable:
-                raise InputError(f"figure {figure} needs a numeric sweep, got "
-                                 f"{sweep_var}={sweep_values[0]}")
+            if figure == "completion_vs_devices":
+                _device_count(sweep_var, sweep_values[0])
         spec = ExperimentSpec(base=config, sweep_var=sweep_var, sweep_values=sweep_values,
                               strategies=strategies, seeds=seeds, out_dir=args.out,
                               jobs=args.jobs)

@@ -26,7 +26,8 @@ from .rng import Rng, new_rng
 
 # A heap entry is (time, rank, task id); at one instant events run in rank
 # order, then by task id. Capacity leaves before it is retaken: finishes and
-# releases resolve ahead of the starts scheduled for the same time.
+# releases resolve ahead of the starts scheduled for the same time. A task's
+# start pushes its finish and release, so a task never ends before it starts.
 ARRIVAL, ROUND, FINISH, RELEASE, START = range(5)
 
 # a log line from (time, kind, task id, node id, container id, detail), and one format per kind
@@ -171,16 +172,18 @@ def assign(strategy: str, task: Task, nodes, rng: Rng, state: SimState) -> str:
     raise InputError(f"unknown strategy {strategy!r}")
 
 
-def _check_books(nodes, when: str):
-    """Each node's container pool must account for exactly the memory it holds."""
+def _check_books(nodes, now=None):
+    """Each node's container pool must account for exactly the memory it
+    holds; `now` is the event time, or None at the end of the run."""
     for node in nodes:
         # free_memory is the capacity less a running total of container sizes,
         # so it carries rounding at the scale of the capacity, not of the
         # containers: the books may disagree by an ulp or so of `memory`
-        if abs(node.live_memory() - (node.memory - node.free_memory)) > 1e-9 * node.memory:
-            raise StateError(f"node {node.id}: container memory books disagree {when}")
-        if node.free_memory < -1e-9 or node.free_compute < -1e-9:
-            raise StateError(f"node {node.id}: capacity oversubscribed {when}")
+        disagree = abs(node.live_memory() - (node.memory - node.free_memory)) > 1e-9 * node.memory
+        if disagree or node.free_memory < -1e-9 or node.free_compute < -1e-9:
+            problem = "container memory books disagree" if disagree else "capacity oversubscribed"
+            when = "at the end of the run" if now is None else f"at t={now!r}"
+            raise StateError(f"node {node.id}: {problem} {when}")
 
 
 class _Records(list):
@@ -503,17 +506,18 @@ class _Literal(_Auction):
 
 class _Executor:
     """Runs the tasks the market places; one per run. `commit(now, task,
-    node)` returns the task's (start, finish), or None when the node cannot
-    take it after all. `start`, `finish` and `release` run at the task's
-    events, `reap` before each round and `check` after each event."""
+    node)` stores the task's (node id, container id, cc, mem, created,
+    finish) in `pending` and returns its start time, or None when the node
+    cannot take it after all. `start` runs at the task's start, `release`
+    at its container's release and `reap` before each round."""
 
     def __init__(self, engine, market: _Market):
         self.market, self.pending, self.peak = market, engine.pending_exec, engine.peak_mem
 
-    def start(self, *args):
+    def reap(self, *args):
         """Nothing to do under this executor."""
 
-    finish = release = reap = check = start
+    release = reap
 
 
 class _WholeNode(_Executor):
@@ -522,29 +526,25 @@ class _WholeNode(_Executor):
     def __init__(self, engine, market):
         super().__init__(engine, market)
         self.available_at = {}
-        self.whole_mem = {n.id: 0.0 for n in engine.nodes}
 
     def commit(self, now, task, node):
         before = self.available_at.get(node.id, 0.0)
         start = max(now, before)
         finish = self.available_at[node.id] = start + execution_time(node, task)
-        self.pending[task.id] = (node.id, "", node.cpu, task.memory, 0)
+        self.pending[task.id] = (node.id, "", node.cpu, task.memory, 0, finish)
         self.market.queued(node, before, finish)
-        return start, finish
+        return start
 
-    def start(self, node_id, mem):
-        live = self.whole_mem[node_id] = self.whole_mem[node_id] + mem
-        self.peak[node_id] = max(self.peak[node_id], live)
-
-    def finish(self, node_id, mem):
-        self.whole_mem[node_id] -= mem
+    def start(self, now, task_id, node_id, mem, finish):
+        # the node's last task finished before this one starts: it runs alone
+        self.peak[node_id] = max(self.peak[node_id], mem)
 
 
 class _Containers(_Executor):
     """Each task runs in a container on a slice of the node's compute. The
     container is released when the task finishes, and reaped once idle for
     the TTL. Only a create, reuse, release or reap changes a node's books,
-    so each event checks the nodes it touched."""
+    so each of them checks the node's books."""
 
     def __init__(self, engine, market):
         super().__init__(engine, market)
@@ -552,7 +552,6 @@ class _Containers(_Executor):
         self.node_by_id, self.ttl = engine.node_by_id, engine.config.executor.idle_ttl_s
         self.node_index = {n.id: i for i, n in enumerate(self.nodes)}
         self.freed = deque()  # (freed_at, node index) per container release, in time order
-        self.touched = []     # nodes whose container books the current event changed
 
     def commit(self, now, task, node):
         decision = ct.select_container(node, task)
@@ -569,18 +568,20 @@ class _Containers(_Executor):
             # only a create adds memory; a reuse holds it already
             self.peak[node.id] = max(self.peak[node.id], node.memory - node.free_memory)
         self.pending[task.id] = (node.id, container.id, container.compute, container.memory,
-                                 int(decision.action == "create"))
-        self._touch(node)
-        finish = now + task.cycles / container.compute
-        heapq.heappush(self.heap, (finish, RELEASE, task.id))
-        return now, finish
+                                 int(decision.action == "create"),
+                                 now + task.cycles / container.compute)
+        self._touch(node, now)
+        return now
+
+    def start(self, now, task_id, node_id, mem, finish):
+        heapq.heappush(self.heap, (finish, RELEASE, task_id))
 
     def release(self, now, task_id):
-        node_id, container_id, cc, mem, _created = self.pending[task_id]
+        node_id, container_id, cc, mem, _created, _finish = self.pending[task_id]
         node = self.node_by_id[node_id]
         ct.release_container(node, container_id, now)
         self.freed.append((now, self.node_index[node_id]))
-        self._touch(node)
+        self._touch(node, now)
         self.log.append((_RELEASED, (now, task_id, node_id, container_id, cc, mem)))
 
     def reap(self, now):
@@ -594,19 +595,15 @@ class _Containers(_Executor):
     def _reap_node(self, node: WorkerNode, now: float) -> int:
         reaped = ct.reap_idle(node, now)
         if reaped:
-            self._touch(node)
+            self._touch(node, now)
             for gone in reaped:
                 self.log.append((_REAPED, (now, node.id, gone.id, gone.compute, gone.memory)))
         return len(reaped)
 
-    def _touch(self, node: WorkerNode):
-        self.touched.append(node)
+    def _touch(self, node: WorkerNode, now: float):
+        # the node's books just changed: check them, and report them to the market
+        _check_books((node,), now)
         self.market.booked(node)
-
-    def check(self, now):
-        if self.touched:
-            _check_books(self.touched, f"at t={now!r}")
-            self.touched.clear()
 
 
 class _Engine:
@@ -628,7 +625,7 @@ class _Engine:
         self.node_by_id = {n.id: n for n in self.nodes}
         self.tasks, self.heap, self.log = {}, [], _Records()
         self.payments, self.retries = {}, {}
-        self.pending_exec = {}  # task id -> (node id, container id, cc, mem, created)
+        self.pending_exec = {}  # task id -> (node id, container id, cc, mem, created, finish)
         self.finished = {}      # task id -> (completion seconds, missed flag)
         self.failed, self.arrived = set(), 0
         self.per_node_tasks = {n.id: 0 for n in self.nodes}
@@ -679,13 +676,12 @@ class _Engine:
         task = self.tasks[task_id]
         self.executor.reap(now)
         pick = self.market.pick(task, now)
-        span = None if pick is None else self.executor.commit(now, task, pick[1])
-        if span is not None:
+        start = None if pick is None else self.executor.commit(now, task, pick[1])
+        if start is not None:
             payment, node = pick
             self.market.close(task_id)
             self.payments[task_id] = payment
-            heapq.heappush(self.heap, (span[0], START, task_id))
-            heapq.heappush(self.heap, (span[1], FINISH, task_id))
+            heapq.heappush(self.heap, (start, START, task_id))
             self.log.append((_ASSIGNED, (now, task_id, node.id, node.id, payment)))
             return
         count = self.retries[task_id] = self.retries.get(task_id, 0) + 1
@@ -698,22 +694,22 @@ class _Engine:
             heapq.heappush(self.heap, (now + self.config.retry_interval_s, ROUND, task_id))
 
     def _handle_exec_start(self, now: float, task_id: str):
-        node_id, container_id, cc, mem, created = self.pending_exec[task_id]
+        node_id, container_id, cc, mem, created, finish = self.pending_exec[task_id]
         self.per_node_tasks[node_id] += 1
         self._cpu_change(node_id, cc, now)
-        self.executor.start(node_id, mem)
+        heapq.heappush(self.heap, (finish, FINISH, task_id))
+        self.executor.start(now, task_id, node_id, mem, finish)
         self.log.append((_STARTED, (now, task_id, node_id, container_id, cc,
                                     self.node_by_id[node_id].cpu, mem, created)))
 
     def _handle_exec_finish(self, now: float, task_id: str):
-        node_id, container_id, cc, mem, _created = self.pending_exec[task_id]
+        node_id, container_id, cc, mem, _created, _finish = self.pending_exec[task_id]
         task = self.tasks[task_id]
         completion = now - task.arrival_time
         self.finished[task_id] = (completion, completion > task.deadline)
         # a container's compute is released at this instant too, and its
         # release events run in this same task order
         self._cpu_change(node_id, -cc, now)
-        self.executor.finish(node_id, mem)
         self.log.append((_FINISHED, (now, task_id, node_id, container_id, cc, mem, completion)))
 
     # -- main loop ---------------------------------------------------------
@@ -724,7 +720,6 @@ class _Engine:
             heapq.heappush(self.heap, (task.arrival_time, ARRIVAL, task.id))
         handlers = (self._handle_arrival, self._handle_round, self._handle_exec_finish,
                     self.executor.release, self._handle_exec_start)  # indexed by rank
-        check = self.executor.check  # the books of the nodes each event touched
         horizon = self.config.horizon_s
         last = 0.0
         while self.heap:
@@ -735,8 +730,7 @@ class _Engine:
             if time < last - 1e-9:
                 raise StateError(f"event time went backwards: {time} after {last}")
             last = time
-            check(time)
-        _check_books(self.nodes, "at the end of the run")
+        _check_books(self.nodes)
         return SimResult(metrics=self._metrics(), log_lines=self.log,
                          tasks=tuple(self.tasks.values()), nodes=tuple(self.nodes))
 

@@ -12,10 +12,13 @@ definition it reproduces: the oracle every fast path is tested against.
   `assign` over every node.
 - `reap` of the container executor: `reap_idle` on every node, in node
   order, on every round.
-- `check` of both executors: the books of every node after every event,
-  and each class's open list against its definition, the one piece of
-  fast-path state that no output shows. The reference auctions keep the
-  open lists of `sim._OpenAuction` for this check, but never read them.
+- `check_books` of both executors: the books of every node, and each
+  class's open list against its definition, the one piece of fast-path
+  state that no output shows. It runs after every executor call (`commit`,
+  `start`, `release` and `reap`), since books change only inside those; the
+  fast executor checks only the node a change touched. The reference
+  auctions keep the open lists of `sim._OpenAuction` for this check, but
+  never read them.
 
 A new market or executor adds its reference class here, in `REFERENCE`,
 which maps each class the engine can choose to its reference. `market`
@@ -110,9 +113,25 @@ class ReferenceAssign(_Reference, sim._Assign):
 
 
 class _FullCheck(_Reference):
-    def check(self, now):
-        super().check(now)
-        sim._check_books(self.engine.nodes, f"at t={now!r}")
+    def commit(self, now, *args):
+        start = super().commit(now, *args)
+        self.check_books(now)
+        return start
+
+    def start(self, now, *args):
+        super().start(now, *args)
+        self.check_books(now)
+
+    def release(self, now, task_id):
+        super().release(now, task_id)
+        self.check_books(now)
+
+    def reap(self, now):
+        super().reap(now)
+        self.check_books(now)
+
+    def check_books(self, now):
+        sim._check_books(self.engine.nodes, now)
         for cls in getattr(self.market, "classes", ()):  # the auctions', not the queues
             # open: a free container, or room for the smallest slice
             ranks = [r for r, (_, _, node) in enumerate(cls.members)
@@ -126,11 +145,15 @@ class ReferenceWholeNode(_FullCheck, sim._WholeNode):
     pass
 
 
-class ReferenceContainers(_FullCheck, sim._Containers):
+class _ReapEveryNode(sim._Containers):
     def reap(self, now):
         self.freed.clear()  # the fast path's queue of due nodes
         for node in self.nodes:
             self.seen["reaped"] += self._reap_node(node, now)
+
+
+class ReferenceContainers(_FullCheck, _ReapEveryNode):
+    pass
 
 
 # each market and executor class of the engine -> its reference
@@ -162,7 +185,7 @@ def same_round(nodes, tasks, config):
     pick is compared as (ask, node id), because the nodes may share an id.
     Returns the picks."""
     fast, reference = over(nodes)(config), over(nodes, ReferenceEngine)(config)
-    reference.executor.check(0.0)  # the open lists of prefilled pools
+    reference.executor.check_books(0.0)  # the open lists of prefilled pools
     got = []
     for task in tasks:
         assert fast.market.price(task) == reference.market.price(task)

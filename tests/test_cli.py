@@ -203,6 +203,11 @@ def test_plot_data_guards(tmp_path):
     wrong.write_text("sweep_var,strategy\n")
     with pytest.raises(SchemaError):
         emit_plot_data(str(wrong), "fairness_table")
+    # a workers sweep has worker counts, not device counts, for x
+    workers, _ = run_experiment(_tiny_spec(tmp_path / "workers", sweep_var="workers"))
+    with pytest.raises(InputError, match="^figure completion_vs_devices needs a devices sweep, "
+                                         "got workers=2$"):
+        emit_plot_data(workers, "completion_vs_devices")
 
 
 # --- config loading and exit codes ----------------------------------------
@@ -252,25 +257,32 @@ def test_main_rejects_an_unknown_figure_before_the_sweep(tmp_path, capsys):
     assert not (out / "results.csv").exists()
 
 
+# the completion figure's x axis is the device count, which neither sweep varies
+_NOT_DEVICES = [("strategy=aucrac,mct", "numeric sweep, got strategy=aucrac"),
+                ("workers=5,10", "devices sweep, got workers=5")]
+
+
 def test_main_rejects_the_completion_figure_over_a_strategy_sweep(tmp_path, capsys):
     path = _write_config(tmp_path, {"num_devices": 2, "num_workers": 2})
-    code = main(["--config", path, "--sweep", "strategy=aucrac,mct", "--seeds", "0..1",
-                 "--out", str(tmp_path / "out"), "--emit-plots", "completion_vs_devices"])
-    assert code == EXIT_RUNTIME
-    # one line naming the figure and the sweep variable, not a traceback
-    assert ("runtime error: figure completion_vs_devices needs a numeric sweep, "
-            "got strategy=aucrac\n") in capsys.readouterr().err
+    for sweep, why in _NOT_DEVICES:
+        code = main(["--config", path, "--sweep", sweep, "--seeds", "0..1",
+                     "--out", str(tmp_path / "out"), "--emit-plots", "completion_vs_devices"])
+        assert code == EXIT_RUNTIME
+        # one line naming the figure and the sweep variable, not a traceback
+        assert (f"runtime error: figure completion_vs_devices needs a {why}\n"
+                in capsys.readouterr().err)
 
 
 def test_main_rejects_the_completion_figure_before_a_strategy_sweep_runs(tmp_path, capsys):
     path = _write_config(tmp_path, {"num_devices": 2, "num_workers": 2})
     out = tmp_path / "out"
-    code = main(["--config", path, "--sweep", "strategy=aucrac,mct", "--seeds", "0..1",
-                 "--out", str(out), "--emit-plots", "completion_vs_devices"])
-    assert code == EXIT_RUNTIME
-    assert capsys.readouterr().err == ("runtime error: figure completion_vs_devices needs a "
-                                       "numeric sweep, got strategy=aucrac\n")
-    assert not (out / "results.csv").exists()
+    for sweep, why in _NOT_DEVICES:
+        code = main(["--config", path, "--sweep", sweep, "--seeds", "0..1",
+                     "--out", str(out), "--emit-plots", "completion_vs_devices"])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == (f"runtime error: figure completion_vs_devices "
+                                           f"needs a {why}\n")
+        assert not (out / "results.csv").exists()
 
 
 @pytest.mark.parametrize("field, values", [("sweep_values", (2, 2)),
@@ -295,15 +307,16 @@ def test_main_rejects_a_repeated_sweep_value_before_any_run(tmp_path, capsys, sw
 
 def test_main_all_plots_over_a_strategy_sweep_skips_the_completion_figure(tmp_path):
     path = _write_config(tmp_path, {"num_devices": 2, "num_workers": 2})
-    out = tmp_path / "out"
-    code = main(["--config", path, "--sweep", "strategy=aucrac,mct", "--seeds", "0..1",
-                 "--out", str(out), "--emit-plots", "all"])
-    assert code == EXIT_OK
-    names = set(os.listdir(out))
-    assert "fairness_table.csv" in names
-    for figure in ("memory_vs_tasks", "cpu_vs_tasks"):
-        assert {f"{figure}__container.csv", f"{figure}__vm.csv"} <= names
-    assert not [n for n in names if n.startswith("completion_vs_devices__")]
+    for sweep, _ in _NOT_DEVICES:
+        out = tmp_path / sweep.partition("=")[0]
+        code = main(["--config", path, "--sweep", sweep, "--seeds", "0..1",
+                     "--out", str(out), "--emit-plots", "all"])
+        assert code == EXIT_OK
+        names = set(os.listdir(out))
+        assert "fairness_table.csv" in names
+        for figure in ("memory_vs_tasks", "cpu_vs_tasks"):
+            assert {f"{figure}__container.csv", f"{figure}__vm.csv"} <= names
+        assert not [n for n in names if n.startswith("completion_vs_devices__")]
 
 
 def test_main_missing_config_file_is_io_error(tmp_path):

@@ -285,28 +285,58 @@ def test_cpu_fraction_stays_physical():
         assert 0.0 <= m.mean_cpu_frac <= 1.0
 
 
+# each task runs for under half an ulp of its start time, so it finishes at
+# the instant it starts
+_ZERO_LENGTH = default_config(num_devices=2, workload=replace(
+    default_config().workload, lit_cycles=(1e-9, 1e-9), mit_cycles=(1e-9, 1e-9),
+    hit_cycles=(1e-9, 1e-9)))
+
+
 def test_container_log_replay_matches_recorded_peaks():
-    result = run(default_config(num_devices=10, strategy="aucrac", seed=0))
-    series = utilization_series(result.log_lines)
-    peaks = dict(zip((n.id for n in result.nodes), result.metrics.peak_memory_mb))
-    for node in result.nodes:
-        samples = series.get(node.id, [])
-        if not samples:
-            assert peaks[node.id] == 0.0
-            continue
-        replay_peak = max(mem for _, _, mem in samples)
-        assert replay_peak == pytest.approx(peaks[node.id], abs=1e-6)
-        for _, frac, mem in samples:
-            assert -1e-9 <= frac <= 1.0 + 1e-9
-            assert -1e-6 <= mem <= node.memory + 1e-6
+    for config in (default_config(num_devices=10), _ZERO_LENGTH):
+        result = run(replace(config, strategy="aucrac", seed=0))
+        series = utilization_series(result.log_lines)
+        peaks = dict(zip((n.id for n in result.nodes), result.metrics.peak_memory_mb))
+        for node in result.nodes:
+            samples = series.get(node.id, [])
+            if not samples:
+                assert peaks[node.id] == 0.0
+                continue
+            replay_peak = max(mem for _, _, mem in samples)
+            assert replay_peak == pytest.approx(peaks[node.id], abs=1e-6)
+            for _, frac, mem in samples:
+                assert -1e-9 <= frac <= 1.0 + 1e-9
+                assert -1e-6 <= mem <= node.memory + 1e-6
 
 
 def test_whole_node_log_replay_matches_recorded_peaks():
-    result = run(default_config(num_devices=10, strategy="mct", seed=0))
-    series = utilization_series(result.log_lines)
-    peaks = dict(zip((n.id for n in result.nodes), result.metrics.peak_memory_mb))
-    for node_id, samples in series.items():
-        assert max(mem for _, _, mem in samples) == pytest.approx(peaks[node_id], abs=1e-6)
+    for config in (default_config(num_devices=10), _ZERO_LENGTH):
+        result = run(replace(config, strategy="mct", seed=0))
+        series = utilization_series(result.log_lines)
+        peaks = dict(zip((n.id for n in result.nodes), result.metrics.peak_memory_mb))
+        for node_id, samples in series.items():
+            assert max(mem for _, _, mem in samples) == pytest.approx(peaks[node_id], abs=1e-6)
+
+
+@pytest.mark.parametrize("strategy", ["mct", "aucrac"])
+def test_a_task_that_takes_no_time_starts_before_it_finishes(strategy):
+    result = run(replace(_ZERO_LENGTH, strategy=strategy))
+    kinds, times = {}, {}  # task id -> its execution events' kinds in log order, and times
+    largest = {}           # node id -> the largest mem started on it
+    for ev in map(parse_event_line, result.log_lines):
+        if ev.kind in ("exec_start", "exec_finish", "container_release") and ev.task_id:
+            kinds.setdefault(ev.task_id, []).append(ev.kind)
+            times.setdefault(ev.task_id, set()).add(ev.time)
+        if ev.kind == "exec_start":
+            mem = float(sim._detail_map(ev.detail)["mem"])
+            largest[ev.node_id] = max(largest.get(ev.node_id, 0.0), mem)
+    assert len(kinds) == result.metrics.tasks_arrived > 0
+    assert all(len(at) == 1 for at in times.values())  # every task takes no time
+    released = ["container_release"] if strategy == "aucrac" else []
+    assert all(k == ["exec_start", "exec_finish", *released] for k in kinds.values()), kinds
+    if strategy == "mct":  # a whole node's peak is the largest task it ran
+        assert result.metrics.peak_memory_mb == tuple(largest.get(n.id, 0.0)
+                                                      for n in result.nodes)
 
 
 def test_profit_in_metrics_matches_a_log_recomputation():
@@ -464,6 +494,7 @@ _PAST_WN999 = default_config(
 @given(_run_configs())
 @example(_SHORT_TTL)
 @example(_PAST_WN999)
+@example(_ZERO_LENGTH)
 def test_the_fast_engine_runs_as_the_reference_engine(strategy, config):
     same_run(replace(config, strategy=strategy))
 
@@ -622,7 +653,7 @@ def test_reaping_follows_the_idle_ttl_boundary_of_reap_idle():
     node = engine.nodes[2]
     container = ct.create_container(node, _simple_task())
     engine.pending_exec["tx"] = (node.id, container.id, container.compute,
-                                 container.memory, 1)
+                                 container.memory, 1, 1.0)
     engine.executor.release(1.0, "tx")
     ttl = node.executor.idle_ttl_s
     engine.executor.reap(1.0 + ttl - 1e-9)
