@@ -21,7 +21,7 @@ from .core import (STRATEGIES, SimConfig, WorkerNode, _in_enum, _integer, config
 from .errors import (AucracError, ConstraintError, InputError, SchemaError,
                      UnknownEnumError)
 from .rng import MASK64
-from .sim import left_sum, run
+from .sim import left_sum, run, shared_workloads
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -119,7 +119,9 @@ def run_experiment(spec: ExperimentSpec) -> tuple:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             metrics = list(pool.map(_run_one, [c[-1] for c in combos], chunksize=4))
     else:
-        metrics = [_run_one(c[-1]) for c in combos]
+        # each workload is drawn once, and the runs keep the row order
+        with shared_workloads(c[-1] for c in combos):
+            metrics = [_run_one(c[-1]) for c in combos]
 
     os.makedirs(spec.out_dir, exist_ok=True)
     results_path = os.path.join(spec.out_dir, "results.csv")

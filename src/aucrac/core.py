@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+from array import array
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConstraintError, SchemaError, StateError, UnknownEnumError
@@ -536,20 +537,49 @@ def generate_workload(config: SimConfig, rng: Rng) -> tuple:
         data_out = rng.uniform(*wl.data_out_mb)
         deadline = rng.uniform(*wl.deadline_s)
         td_max = rng.uniform(*wl.td_max_s)
-        tasks.append(_trusted_task({
-            "id": f"t{i:05d}",
-            "data_in": data_in,
-            "data_out": data_out,
-            "cycles": cycles,
-            "memory": memory,
-            "power": power,
-            "deadline": deadline,
-            "td_max": td_max,
-            "arrival_time": clock,
-            "value": None,
-            "intensity": label,
-        }))
+        tasks.append(_generated_task(i, label, clock, cycles, memory, power, data_in,
+                                     data_out, deadline, td_max))
     # every draw lies inside a range WorkloadSpec validated; only the
     # arrival clock can leave them, by overflowing, and it never decreases
     _non_negative("task.arrival_time", clock)
     return tuple(tasks)
+
+
+def _generated_task(i, label, arrival_time, cycles, memory, power, data_in, data_out,
+                    deadline, td_max) -> Task:
+    # the i-th task of a generated workload, from its label and its eight draws
+    return _trusted_task({
+        "id": f"t{i:05d}",
+        "data_in": data_in,
+        "data_out": data_out,
+        "cycles": cycles,
+        "memory": memory,
+        "power": power,
+        "deadline": deadline,
+        "td_max": td_max,
+        "arrival_time": arrival_time,
+        "value": None,
+        "intensity": label,
+    })
+
+
+def pack_workload(tasks: tuple) -> tuple:
+    """A tuple `generate_workload` returned, as (one array of each task's
+    eight drawn floats, in `_generated_task`'s order; the labels).
+
+    The array holds a task in 64 bytes, a small share of the task itself;
+    `unpack_workload` gives the tuple back, field for field.
+    """
+    draws = array("d")
+    for t in tasks:
+        draws.extend((t.arrival_time, t.cycles, t.memory, t.power, t.data_in, t.data_out,
+                      t.deadline, t.td_max))
+    return draws, tuple(t.intensity for t in tasks)
+
+
+def unpack_workload(packed: tuple) -> tuple:
+    """The tasks `pack_workload` packed: a task's id follows from its position."""
+    draws, labels = packed
+    rows = zip(*[iter(draws)] * 8)
+    return tuple(_generated_task(i, label, *row)
+                 for i, (label, row) in enumerate(zip(labels, rows)))

@@ -11,7 +11,8 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, insort
-from collections import deque
+from collections import Counter, deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import cycle, islice
 from operator import attrgetter, itemgetter
@@ -19,10 +20,10 @@ from operator import attrgetter, itemgetter
 from . import containers as ct
 from .auction import mn_revenue, run_sealed_auction
 from .core import (AuctionOutcome, Bid, MetricsRecord, SimConfig, Task, WorkerNode,
-                   _trusted_task, generate_workload)
+                   _trusted_task, generate_workload, pack_workload, unpack_workload)
 from .costmodel import deadline_eligibility, execution_time, valuation, valuation_unchecked
 from .errors import InfeasibleError, InputError, PlacementRejected, StateError
-from .rng import Rng, new_rng
+from .rng import MASK64, Rng, new_rng
 
 # A heap entry is (time, rank, task id); at one instant events run in rank
 # order, then by task id. Capacity leaves before it is retaken: finishes and
@@ -606,6 +607,62 @@ class _Containers(_Executor):
         self.market.booked(node)
 
 
+# -- workloads shared across a sweep ---------------------------------------
+
+def _workload_key(config: SimConfig) -> tuple:
+    # everything a run's tasks depend on: its workload stream is forked from
+    # the masked seed, and the strategy and the workers play no part
+    return config.seed & MASK64, config.num_devices, config.workload
+
+
+class _SharedWorkloads:
+    """The workloads of one sweep's runs, each drawn once: a key's packed
+    draws are kept from its first run to its last, counted up front."""
+
+    __slots__ = ("uses", "packed")
+
+    def __init__(self, configs):
+        self.uses = Counter(map(_workload_key, configs))  # key -> runs still to come
+        self.packed = {}  # key -> pack_workload of its tasks, between its runs
+
+    def tasks(self, config: SimConfig, rng: Rng) -> tuple:
+        key = _workload_key(config)
+        left = self.uses[key] - 1
+        if left < 0:  # a run the sweep did not count
+            return generate_workload(config, rng)
+        packed = self.packed.pop(key, None)
+        tasks = generate_workload(config, rng) if packed is None else unpack_workload(packed)
+        # set only once the draw returned: a draw that raises stores nothing
+        if left:
+            self.uses[key] = left
+            self.packed[key] = packed or pack_workload(tasks)
+        else:
+            del self.uses[key]
+        return tasks
+
+
+_shared = None  # the open sweep's _SharedWorkloads, or None outside shared_workloads
+
+
+@contextmanager
+def shared_workloads(configs):
+    """Within the block, the runs of `configs` that share a workload key
+    draw their tasks once. They may run in any order, and each run still
+    gets the tuple `generate_workload` gives it. `run(config)` keeps its one
+    argument, so the engine finds the open block here, not as a parameter;
+    once the block exits, however it exits, nothing of it is kept."""
+    global _shared
+    _shared = _SharedWorkloads(configs)
+    try:
+        yield
+    finally:
+        _shared = None
+
+
+def _workload(config: SimConfig, rng: Rng) -> tuple:
+    return generate_workload(config, rng) if _shared is None else _shared.tasks(config, rng)
+
+
 class _Engine:
     """One run: the event heap, the log records and the metrics. Which node
     hosts a task is its market's choice, and how it runs there its
@@ -715,7 +772,7 @@ class _Engine:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> SimResult:
-        for task in generate_workload(self.config, self.rng_workload):
+        for task in _workload(self.config, self.rng_workload):
             self.tasks[task.id] = task
             heapq.heappush(self.heap, (task.arrival_time, ARRIVAL, task.id))
         handlers = (self._handle_arrival, self._handle_round, self._handle_exec_finish,

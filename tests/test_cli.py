@@ -3,9 +3,12 @@
 import json
 import logging
 import os
+from dataclasses import replace
 
 import pytest
 
+import aucrac.cli as cli
+import aucrac.sim as sim
 from aucrac.cli import (EXIT_CONSTRAINT, EXIT_ENUM, EXIT_IO, EXIT_OK, EXIT_RUNTIME,
                         EXIT_SCHEMA, RESULTS_HEADER, ExperimentSpec, _configs_for,
                         _parse_seeds, _parse_sweep, emit_plot_data, load_config, main,
@@ -133,6 +136,63 @@ def test_parallel_jobs_change_nothing(tmp_path):
     rp, ap = run_experiment(_tiny_spec(tmp_path / "parallel", jobs=2))
     assert open(ra, "rb").read() == open(rp, "rb").read()
     assert open(aa, "rb").read() == open(ap, "rb").read()
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The config of each workload draw made in this process, in draw order."""
+    made = []
+    generate = sim.generate_workload
+
+    def counted(config, rng):
+        made.append(config)
+        return generate(config, rng)
+
+    monkeypatch.setattr(sim, "generate_workload", counted)
+    return made
+
+
+@pytest.mark.parametrize("sweep, values, drawn", [
+    ("devices", (10, 20), 6),    # one draw per (device count, seed)
+    ("workers", (5, 10), 3),     # the worker count is not part of a workload
+    ("strategy", ("aucrac", "mct", "greedy"), 3),
+])
+def test_a_serial_sweep_draws_each_workload_once(tmp_path, draws, sweep, values, drawn):
+    spec = ExperimentSpec(base=default_config(num_devices=2, num_workers=2), sweep_var=sweep,
+                          sweep_values=values, seeds=(0, 1, 2), out_dir=str(tmp_path / "serial"),
+                          jobs=1)
+    shared = run_experiment(spec)
+    assert len(draws) == drawn
+    assert sim._shared is None
+    sim.run(_configs_for(spec)[-1][-1])  # a run after the sweep draws its own
+    assert len(draws) == drawn + 1
+    # the pool's runs each draw their own workload, and write the same bytes
+    pooled = run_experiment(replace(spec, out_dir=str(tmp_path / "pool"), jobs=2))
+    for a, b in zip(shared, pooled):
+        assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_a_sweep_that_raises_keeps_no_workload(tmp_path, monkeypatch, draws):
+    spec = _tiny_spec(tmp_path)
+    config = _configs_for(spec)[0][-1]
+    alone = sim.run(config)
+    run, calls = cli.run, []
+
+    def third_run_fails(config):
+        calls.append(config)
+        if len(calls) == 3:  # both seeds' workloads are stored for the next strategy
+            raise RuntimeError("boom")
+        return run(config)
+
+    monkeypatch.setattr(cli, "run", third_run_fails)
+    with pytest.raises(RuntimeError, match="^boom$"):
+        run_experiment(spec)
+    assert sim._shared is None
+    before = len(draws)
+    after = sim.run(config)
+    assert len(draws) == before + 1
+    assert after.log_lines == alone.log_lines
+    assert after.metrics == alone.metrics
 
 
 def test_aggregate_reports_zero_spread_for_one_seed(tmp_path):
@@ -376,6 +436,22 @@ def test_main_non_number_bound_is_a_constraint_error(tmp_path, capsys, doc, fiel
     err = capsys.readouterr().err
     assert err.startswith(f"config constraint violated: {field}: ")
     assert err.count("\n") == 1
+
+
+def test_main_an_arrival_clock_that_overflows_mid_sweep_fails_in_one_line(tmp_path, capsys,
+                                                                          draws):
+    # no device draws no task, and that key serves all six strategies; the next key overflows
+    path = _write_config(tmp_path, {"num_devices": 2, "num_workers": 2,
+                                    "workload": {"arrival_rate_hz": 5e-324}})
+    out = tmp_path / "out"
+    code = main(["--config", path, "--sweep", "devices=0,2", "--seeds", "0..1",
+                 "--out", str(out)])
+    assert code == EXIT_CONSTRAINT
+    assert capsys.readouterr().err == ("config constraint violated: task.arrival_time: "
+                                       "must be a non-negative finite number, got inf\n")
+    assert [c.num_devices for c in draws] == [0, 0, 2]
+    assert sim._shared is None
+    assert not (out / "results.csv").exists()
 
 
 @pytest.mark.parametrize("value", ["of", "trace"])

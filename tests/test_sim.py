@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import aucrac.containers as ct
 import aucrac.sim as sim
 from aucrac.core import (STRATEGIES, NodeTemplate, ResourceWeights, Task, WorkerNode,
-                         default_config, generate_workload)
+                         WorkloadSpec, default_config, generate_workload)
 from aucrac.costmodel import execution_time
 from aucrac.errors import ConstraintError, InputError, StateError
 from aucrac.rng import new_rng
@@ -693,3 +693,66 @@ def test_an_overflowing_posted_value_is_rejected():
 def test_an_overflowing_payment_is_rejected():
     with pytest.raises(ConstraintError, match="outcome.payment"):
         run(default_config(strategy="mct", **_OVERFLOWING_PRICES))
+
+
+# --- workloads shared across a sweep ----------------------------------------
+
+@st.composite
+def _workload_configs(draw):
+    # any valid workload, some ranges a single point, at seeds Rng masks alike
+    def span():
+        lo = draw(st.floats(min_value=1e-3, max_value=1e9))
+        return lo, lo if draw(st.booleans()) else lo * draw(st.floats(1.0, 1e3))
+
+    mix = draw(st.sampled_from([(0.4, 0.3, 0.3), (1.0, 0.0, 0.0), (0.0, 0.5, 0.5)]))
+    workload = WorkloadSpec(
+        arrival_rate_hz=draw(st.floats(min_value=1e-3, max_value=1e3)),
+        tasks_per_device=draw(st.integers(min_value=0, max_value=4)),
+        mix_lit=mix[0], mix_mit=mix[1], mix_hit=mix[2],
+        lit_cycles=span(), mit_cycles=span(), hit_cycles=span(), memory_mb=span(),
+        power_w=span(), data_in_mb=span(), data_out_mb=span(), deadline_s=span(),
+        td_max_s=span())
+    seed = draw(st.integers(min_value=-(2**70), max_value=2**70)
+                | st.sampled_from([0, -1, 2**64 - 1, 2**64, -(2**64)]))
+    return default_config(seed=seed, num_devices=draw(st.integers(min_value=0, max_value=6)),
+                          workload=workload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_workload_configs(), st.integers(min_value=1, max_value=3))
+@example(default_config(num_devices=0), 2)
+def test_a_shared_workload_is_the_generated_one_field_for_field(config, runs):
+    want = generate_workload(config, new_rng(config.seed).fork(2))
+    # the key's other runs: another strategy, worker count, and a seed Rng masks alike
+    alias = replace(config, strategy="mct", num_workers=3, seed=config.seed - 2**64)
+    configs = [config] * runs + [alias]
+    with sim.shared_workloads(configs):
+        for i, cfg in enumerate(configs):  # each draws as the engine does
+            # every run after the first finds the draws the first one stored
+            assert (sim._workload_key(cfg) in sim._shared.packed) == (i > 0)
+            got = sim._workload(cfg, new_rng(cfg.seed).fork(2))
+            assert got == want
+            assert list(map(repr, got)) == list(map(repr, want))
+        assert not sim._shared.uses and not sim._shared.packed
+    assert sim._shared is None
+
+
+def test_a_shared_run_equals_the_unshared_one():
+    config = default_config(num_devices=8, strategy="aucrac")
+    alone = run(config)
+    with sim.shared_workloads([replace(config, strategy="mct"), config]):
+        run(replace(config, strategy="mct"))
+        shared = run(config)
+    assert shared.log_lines == alone.log_lines
+    assert shared.metrics == alone.metrics
+
+
+def test_a_draw_that_raises_stores_nothing_for_its_key():
+    config = default_config(num_devices=2, workload=WorkloadSpec(arrival_rate_hz=5e-324))
+    with sim.shared_workloads([config, config]):
+        for _ in range(2):  # each run draws again, and fails as an unshared run does
+            with pytest.raises(ConstraintError, match="^task.arrival_time: "):
+                run(config)
+            assert sim._shared.packed == {}
+            assert sim._shared.uses == Counter({sim._workload_key(config): 2})
+    assert sim._shared is None
