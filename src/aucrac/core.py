@@ -107,20 +107,35 @@ class Task:
         _in_enum("task.intensity", self.intensity, INTENSITY_CLASSES)
 
 
-_TASK_FIELDS = tuple(f.name for f in fields(Task))
-
-
-def _trusted_task(values: dict) -> Task:
+def _trusted_task(id, data_in, data_out, cycles, memory, power, deadline, td_max,
+                  arrival_time, value, intensity) -> Task:
     """A Task from values that already passed its checks, built without
     re-running them: draws from a validated WorkloadSpec, or the fields of
-    a valid Task. `values` must name every field."""
+    a valid Task. The fields come in `Task`'s order."""
     task = object.__new__(Task)
-    # set one by one, as Task.__init__ does: a bulk __dict__ update would
-    # give each task its own, larger attribute table
+    # set one by one in field order, as Task.__init__ does: a bulk __dict__
+    # update would give each task its own, larger attribute table
     store = object.__setattr__
-    for name in _TASK_FIELDS:
-        store(task, name, values[name])
+    store(task, "id", id)
+    store(task, "data_in", data_in)
+    store(task, "data_out", data_out)
+    store(task, "cycles", cycles)
+    store(task, "memory", memory)
+    store(task, "power", power)
+    store(task, "deadline", deadline)
+    store(task, "td_max", td_max)
+    store(task, "arrival_time", arrival_time)
+    store(task, "value", value)
+    store(task, "intensity", intensity)
     return task
+
+
+def _valued(task: Task, value: float) -> Task:
+    """`task` with the posted value `value`, which must be a valid one. The
+    fields are read one by one, so the original's __dict__ is never built."""
+    return _trusted_task(task.id, task.data_in, task.data_out, task.cycles, task.memory,
+                         task.power, task.deadline, task.td_max, task.arrival_time, value,
+                         task.intensity)
 
 
 @dataclass(frozen=True)
@@ -524,56 +539,45 @@ def generate_workload(config: SimConfig, rng: Rng) -> tuple:
     for cls_name, count in zip(INTENSITY_CLASSES, counts):
         labels.extend([cls_name] * count)
     rng.shuffle(labels)
-    cycle_ranges = {"LIT": wl.lit_cycles, "MIT": wl.mit_cycles, "HIT": wl.hit_cycles}
+
+    def span(pair):  # a draw u lands at lo + (hi - lo) * u, as in Rng.uniform
+        return pair[0], pair[1] - pair[0]
+
+    cycle_spans = {"LIT": span(wl.lit_cycles), "MIT": span(wl.mit_cycles),
+                   "HIT": span(wl.hit_cycles)}
+    ((mem_lo, mem_d), (pow_lo, pow_d), (in_lo, in_d),
+     (out_lo, out_d), (dl_lo, dl_d), (td_lo, td_d)) = map(span, (
+         wl.memory_mb, wl.power_w, wl.data_in_mb, wl.data_out_mb, wl.deadline_s, wl.td_max_s))
     total_rate = config.num_devices * wl.arrival_rate_hz
+    log, randoms = math.log, rng.randoms
     tasks = []
     clock = 0.0
     for i, label in enumerate(labels):
-        clock += rng.expovariate(total_rate)
-        cycles = rng.uniform(*cycle_ranges[label])
-        memory = rng.uniform(*wl.memory_mb)
-        power = rng.uniform(*wl.power_w)
-        data_in = rng.uniform(*wl.data_in_mb)
-        data_out = rng.uniform(*wl.data_out_mb)
-        deadline = rng.uniform(*wl.deadline_s)
-        td_max = rng.uniform(*wl.td_max_s)
-        tasks.append(_generated_task(i, label, clock, cycles, memory, power, data_in,
-                                     data_out, deadline, td_max))
+        # a task's eight draws, in the order Rng.expovariate and Rng.uniform took them
+        u_gap, u_cycles, u_mem, u_pow, u_in, u_out, u_dl, u_td = randoms(8)
+        clock += -log(1.0 - u_gap) / total_rate
+        cyc_lo, cyc_d = cycle_spans[label]
+        tasks.append(_trusted_task(f"t{i:05d}", in_lo + in_d * u_in, out_lo + out_d * u_out,
+                                   cyc_lo + cyc_d * u_cycles, mem_lo + mem_d * u_mem,
+                                   pow_lo + pow_d * u_pow, dl_lo + dl_d * u_dl,
+                                   td_lo + td_d * u_td, clock, None, label))
     # every draw lies inside a range WorkloadSpec validated; only the
     # arrival clock can leave them, by overflowing, and it never decreases
     _non_negative("task.arrival_time", clock)
     return tuple(tasks)
 
 
-def _generated_task(i, label, arrival_time, cycles, memory, power, data_in, data_out,
-                    deadline, td_max) -> Task:
-    # the i-th task of a generated workload, from its label and its eight draws
-    return _trusted_task({
-        "id": f"t{i:05d}",
-        "data_in": data_in,
-        "data_out": data_out,
-        "cycles": cycles,
-        "memory": memory,
-        "power": power,
-        "deadline": deadline,
-        "td_max": td_max,
-        "arrival_time": arrival_time,
-        "value": None,
-        "intensity": label,
-    })
-
-
 def pack_workload(tasks: tuple) -> tuple:
     """A tuple `generate_workload` returned, as (one array of each task's
-    eight drawn floats, in `_generated_task`'s order; the labels).
+    eight drawn floats, in `Task`'s field order; the labels).
 
     The array holds a task in 64 bytes, a small share of the task itself;
     `unpack_workload` gives the tuple back, field for field.
     """
     draws = array("d")
     for t in tasks:
-        draws.extend((t.arrival_time, t.cycles, t.memory, t.power, t.data_in, t.data_out,
-                      t.deadline, t.td_max))
+        draws.extend((t.data_in, t.data_out, t.cycles, t.memory, t.power, t.deadline, t.td_max,
+                      t.arrival_time))
     return draws, tuple(t.intensity for t in tasks)
 
 
@@ -581,5 +585,5 @@ def unpack_workload(packed: tuple) -> tuple:
     """The tasks `pack_workload` packed: a task's id follows from its position."""
     draws, labels = packed
     rows = zip(*[iter(draws)] * 8)
-    return tuple(_generated_task(i, label, *row)
+    return tuple(_trusted_task(f"t{i:05d}", *row, None, label)
                  for i, (label, row) in enumerate(zip(labels, rows)))

@@ -52,6 +52,25 @@ class Rng:
         """Uniform float in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) * (2.0 ** -53)
 
+    def randoms(self, n: int) -> list:
+        """The next `n` values of `random()`, drawn with the state in locals."""
+        s0, s1, s2, s3 = self._s
+        out = []
+        append = out.append
+        for _ in range(n):
+            # next_u64's step, written out
+            x = (s1 * 5) & MASK64
+            append(((((((x << 7) | (x >> 57)) & MASK64) * 9) & MASK64) >> 11) * (2.0 ** -53))
+            t = (s1 << 17) & MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & MASK64
+        self._s = (s0, s1, s2, s3)
+        return out
+
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()
 

@@ -20,7 +20,7 @@ from operator import attrgetter, itemgetter
 from . import containers as ct
 from .auction import mn_revenue, run_sealed_auction
 from .core import (AuctionOutcome, Bid, MetricsRecord, SimConfig, Task, WorkerNode,
-                   _trusted_task, generate_workload, pack_workload, unpack_workload)
+                   _valued, generate_workload, pack_workload, unpack_workload)
 from .costmodel import deadline_eligibility, execution_time, valuation, valuation_unchecked
 from .errors import InfeasibleError, InputError, PlacementRejected, StateError
 from .rng import MASK64, Rng, new_rng
@@ -420,7 +420,7 @@ class _Auction(_Market):
                 total += up * (u * s)
         value = total / count
         if math.isfinite(value):
-            valued = _trusted_task({**vars(task), "value": value})
+            valued = _valued(task, value)
         else:  # the prices overflowed: let the validator reject the value
             valued = replace(task, value=value)
         self.offers[task.id], self.every = offers, every  # every: S per class, for _Literal
@@ -727,7 +727,7 @@ class _Engine:
         self.arrived += 1
         task = self.tasks[task_id] = self.market.price(self.tasks[task_id])
         self.log.append((_ARRIVED, (now, task_id, task.intensity)))
-        heapq.heappush(self.heap, (now, ROUND, task_id))
+        self._hand_off(now, (now, ROUND, task_id))
 
     def _handle_round(self, now: float, task_id: str):
         task = self.tasks[task_id]
@@ -738,8 +738,8 @@ class _Engine:
             payment, node = pick
             self.market.close(task_id)
             self.payments[task_id] = payment
-            heapq.heappush(self.heap, (start, START, task_id))
             self.log.append((_ASSIGNED, (now, task_id, node.id, node.id, payment)))
+            self._hand_off(now, (start, START, task_id))
             return
         count = self.retries[task_id] = self.retries.get(task_id, 0) + 1
         if count > self.config.executor.max_requeues:
@@ -768,6 +768,16 @@ class _Engine:
         # release events run in this same task order
         self._cpu_change(node_id, -cc, now)
         self.log.append((_FINISHED, (now, task_id, node_id, container_id, cc, mem, completion)))
+
+    def _hand_off(self, now: float, entry: tuple):
+        # a handler's last step: the task's next event, a ROUND or a START. If
+        # it is due now and no pending entry sorts before it, the loop would
+        # pop it next, so it runs at once; otherwise it waits in the heap
+        heap = self.heap
+        if entry[0] == now and (not heap or entry < heap[0]):
+            (self._handle_round if entry[1] == ROUND else self._handle_exec_start)(now, entry[2])
+        else:
+            heapq.heappush(heap, entry)
 
     # -- main loop ---------------------------------------------------------
 

@@ -19,6 +19,9 @@ definition it reproduces: the oracle every fast path is tested against.
   fast executor checks only the node a change touched. The reference
   auctions keep the open lists of `sim._OpenAuction` for this check, but
   never read them.
+- `_hand_off` of the engine: every event goes through the heap, one pop
+  per handler, where the fast engine runs a task's same-instant ROUND or
+  START at once when nothing pending sorts before it.
 
 A new market or executor adds its reference class here, in `REFERENCE`,
 which maps each class the engine can choose to its reference. `market`
@@ -26,6 +29,7 @@ draws the nodes and tasks of the single-round comparison, `same_round`, and
 `whole_node_steps` those of the pick-by-pick one, `same_picks`.
 """
 
+import heapq
 from collections import Counter
 from dataclasses import replace
 
@@ -170,7 +174,11 @@ class ReferenceEngine(sim._Engine):
     ask, and reaped containers; and whole-node picks of a busy node under
     `mct`, `mct` picks whose least eta is shared across classes or by a busy
     node, `greedy` picks while every node is busy, and `greedy` picks tied
-    with a node of smaller id."""
+    with a node of smaller id; and per handoff of a task to its ROUND or
+    START, whether the fast engine would run it at once (`round_inline`,
+    `start_inline`), push it behind a pending entry of the same instant
+    (`round_behind`, `start_behind`), or push it for a later time
+    (`start_later`)."""
 
     def __init__(self, config):
         self.seen = Counter()
@@ -178,6 +186,17 @@ class ReferenceEngine(sim._Engine):
 
     def _parts(self):
         return tuple(REFERENCE[part] for part in super()._parts())
+
+    def _hand_off(self, now, entry):
+        heap = self.heap
+        if entry[0] != now:
+            branch = "later"
+        elif heap and heap[0] < entry:
+            branch = "behind"
+        else:
+            branch = "inline"
+        self.seen[("round_" if entry[1] == sim.ROUND else "start_") + branch] += 1
+        heapq.heappush(heap, entry)
 
 
 def same_round(nodes, tasks, config):

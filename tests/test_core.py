@@ -1,16 +1,17 @@
 """Domain type validation, config round trips, and workload generation."""
 
-from dataclasses import fields
+import tracemalloc
+from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aucrac.cli import ExperimentSpec
-from aucrac.core import (AuctionOutcome, Bid, ExecutorConfig, MetricsRecord,
-                         NodeTemplate, ResourceWeights, SimConfig, Task,
-                         WorkerNode, WorkloadSpec, _class_counts,
-                         config_from_dict, config_from_json, config_to_dict,
+from aucrac.core import (INTENSITY_CLASSES, AuctionOutcome, Bid, ExecutorConfig,
+                         MetricsRecord, NodeTemplate, ResourceWeights, SimConfig,
+                         Task, WorkerNode, WorkloadSpec, _class_counts, _trusted_task,
+                         _valued, config_from_dict, config_from_json, config_to_dict,
                          config_to_json, default_config, generate_workload)
 from aucrac.errors import (ConstraintError, SchemaError, StateError,
                            UnknownEnumError)
@@ -383,6 +384,124 @@ def test_workload_rejects_an_arrival_clock_that_overflows():
     spec = WorkloadSpec(arrival_rate_hz=5e-324)  # valid, but each gap overflows
     with pytest.raises(ConstraintError, match="task.arrival_time"):
         generate_workload(default_config(num_devices=1, workload=spec), new_rng(0))
+
+
+def _per_draw_workload(config, rng):
+    # generate_workload as it drew one value per call: `shuffle`, then per
+    # task `expovariate` and seven `uniform`s. The validating constructor
+    # builds the tasks after the last draw, so an arrival clock that
+    # overflowed fails there, with the error the final check gives
+    wl = config.workload
+    n = config.num_devices * wl.tasks_per_device
+    if n == 0:
+        return ()
+    labels = []
+    for cls_name, count in zip(INTENSITY_CLASSES, _class_counts(n, wl.mix)):
+        labels.extend([cls_name] * count)
+    rng.shuffle(labels)
+    cycle_ranges = {"LIT": wl.lit_cycles, "MIT": wl.mit_cycles, "HIT": wl.hit_cycles}
+    total_rate = config.num_devices * wl.arrival_rate_hz
+    rows = []
+    clock = 0.0
+    for i, label in enumerate(labels):
+        clock += rng.expovariate(total_rate)
+        cycles = rng.uniform(*cycle_ranges[label])
+        memory = rng.uniform(*wl.memory_mb)
+        power = rng.uniform(*wl.power_w)
+        data_in = rng.uniform(*wl.data_in_mb)
+        data_out = rng.uniform(*wl.data_out_mb)
+        deadline = rng.uniform(*wl.deadline_s)
+        td_max = rng.uniform(*wl.td_max_s)
+        rows.append(dict(id=f"t{i:05d}", data_in=data_in, data_out=data_out, cycles=cycles,
+                         memory=memory, power=power, deadline=deadline, td_max=td_max,
+                         arrival_time=clock, intensity=label))
+    return tuple(Task(**row) for row in rows)
+
+
+@st.composite
+def _edge_configs(draw):
+    # ranges that are one point, no devices or no tasks per device, rates
+    # whose gaps overflow (5e-324) or vanish (1e308 over two devices), and
+    # seeds past 64 bits either way
+    def span():
+        lo = draw(st.floats(min_value=1e-3, max_value=1e9))
+        return lo, lo if draw(st.booleans()) else lo * draw(st.floats(1.0, 1e3))
+
+    mix = draw(st.sampled_from([(0.4, 0.3, 0.3), (1.0, 0.0, 0.0), (0.0, 0.5, 0.5)]))
+    workload = WorkloadSpec(
+        arrival_rate_hz=draw(st.floats(min_value=1e-3, max_value=1e3)
+                             | st.sampled_from([5e-324, 1e308])),
+        tasks_per_device=draw(st.integers(min_value=0, max_value=4)),
+        mix_lit=mix[0], mix_mit=mix[1], mix_hit=mix[2],
+        lit_cycles=span(), mit_cycles=span(), hit_cycles=span(), memory_mb=span(),
+        power_w=span(), data_in_mb=span(), data_out_mb=span(), deadline_s=span(),
+        td_max_s=span())
+    seed = draw(st.integers(min_value=-(2**70), max_value=2**70)
+                | st.sampled_from([0, -1, 2**64 - 1, 2**64, -(2**64)]))
+    return default_config(seed=seed, num_devices=draw(st.integers(min_value=0, max_value=6)),
+                          workload=workload)
+
+
+def _drawn(config, draw):
+    # ((the tasks and their reprs) or (the error type and its one line),
+    # the generator's state after the draws)
+    rng = new_rng(config.seed).fork(2)
+    try:
+        tasks = draw(config, rng)
+    except ConstraintError as exc:
+        return (type(exc), str(exc)), rng._s
+    return (tasks, list(map(repr, tasks))), rng._s
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_configs())
+@example(default_config(num_devices=0))
+@example(default_config(num_devices=1, workload=WorkloadSpec(arrival_rate_hz=5e-324)))
+def test_batched_draws_give_the_per_draw_workload(config):
+    assert _drawn(config, generate_workload) == _drawn(config, _per_draw_workload)
+
+
+# --- building tasks without their checks -----------------------------------
+
+_ROW = ("t00007", 1.5, 0.25, 3e9, 128.0, 5.0, 12.0, 3.0, 4.75, None, "HIT")
+
+
+def test_a_trusted_task_is_the_validated_one():
+    built, validated = _trusted_task(*_ROW), Task(*_ROW)
+    assert built == validated
+    assert repr(built) == repr(validated)
+    assert list(vars(built)) == list(vars(validated)) == [f.name for f in fields(Task)]
+    valued, want = _valued(built, 0.5), replace(validated, value=0.5)
+    assert valued == want
+    assert repr(valued) == repr(want)
+    assert list(vars(valued)) == list(vars(want))
+
+
+def _per_item(make, items) -> float:
+    # bytes still held per item after building one object per item
+    for x in items[:100]:  # lazily built shared state, such as specialized code, not counted
+        make(x)
+    tracemalloc.start()
+    try:
+        built = [make(x) for x in items]
+        return tracemalloc.get_traced_memory()[0] / len(items)
+    finally:
+        tracemalloc.stop()
+        del built
+
+
+def test_a_trusted_task_takes_no_more_memory_than_a_validated_one():
+    # stored one by one, a task keeps the class's shared attribute layout; a
+    # bulk __dict__ update gives it its own table (528 B against 176 B on
+    # 3.11), and so does a copy through vars() to the original it reads.
+    # A byte per task allows for the interpreter's own few blocks
+    rows = [(f"t{i:05d}", 1.0 + i, 0.5 + i, 1e9 + i, 64.0 + i, 2.0 + i, 10.0 + i, 3.0 + i,
+             float(i), None, "MIT") for i in range(1000)]
+    assert _per_item(lambda row: _trusted_task(*row), rows) <= _per_item(
+        lambda row: Task(*row), rows) + 1.0
+    originals = [_trusted_task(*row) for row in rows], [Task(*row) for row in rows]
+    assert _per_item(lambda t: _valued(t, 0.5), originals[0]) <= _per_item(
+        lambda t: replace(t, value=0.5), originals[1]) + 1.0
 
 
 def test_node_template_rejects_nonpositive_cpu():

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aucrac.rng import MASK64, Rng, new_rng
 
@@ -151,3 +153,20 @@ def test_uniform_mean_is_plausible():
     rng = new_rng(77)
     xs = [rng.random() for _ in range(20000)]
     assert math.isclose(sum(xs) / len(xs), 0.5, abs_tol=0.02)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=-(2**70), max_value=2**70)
+       | st.sampled_from([0, -1, 2**64 - 1, 2**64, 2**64 + 1, -(2**64), -(2**64) - 1]),
+       st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=20))
+@example(2**64, 0, 0)
+@example(-(2**64), 5, 0)
+def test_randoms_are_successive_random_calls(seed, skip, n):
+    # from any point of the stream, n batched draws are the next n random()
+    # values, and the batch leaves the state those calls leave
+    batched, single = Rng(seed), Rng(seed)
+    for rng in (batched, single):
+        for _ in range(skip):
+            rng.next_u64()
+    assert batched.randoms(n) == [single.random() for _ in range(n)]
+    assert batched._s == single._s

@@ -605,6 +605,56 @@ def test_no_two_pending_events_share_time_rank_and_task(monkeypatch):
     assert any(",container_release," in ln and "from=busy" in ln for ln in lines)
 
 
+def _retry_meets_arrival():
+    # no node can host a task, so every auction round retries: one retry
+    # interval after its arrival, t00000 retries exactly when t00001 arrives
+    config = default_config(num_devices=3, node_templates=(_UNFIT,))
+    first, second = generate_workload(config, new_rng(config.seed).fork(2))[:2]
+    interval = second.arrival_time - first.arrival_time
+    assert first.arrival_time + interval == second.arrival_time
+    return replace(config, retry_interval_s=interval)
+
+
+# every gap is -log(1 - u) / inf = 0, so all arrivals and first rounds are at t=0
+_ALL_AT_ZERO = default_config(num_devices=20, workload=replace(
+    default_config().workload, arrival_rate_hz=1e308))
+# two nodes, each busy for seconds per task, and eight arrivals a second
+_WAITING_START = default_config(num_devices=20, num_workers=2)
+_RETRY_MEETS_ARRIVAL = _retry_meets_arrival()
+
+
+def test_a_handoff_due_later_waits_in_the_heap():
+    # with nothing pending, a START after now would still be the next event,
+    # but running it at once would step past the horizon check
+    engine = sim._Engine(default_config(strategy="mct"))
+    engine._hand_off(0.0, (1.0, sim.START, "t00000"))
+    assert engine.heap == [(1.0, sim.START, "t00000")]
+
+
+_AUCTIONS = ("aucrac", "auction_basic")
+_WHOLE_NODE = ("random", "round_robin", "greedy", "mct", "auction_basic")
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("config, reached", [
+    # another arrival or round is always pending at t=0
+    pytest.param(_ALL_AT_ZERO, {"round_behind": STRATEGIES, "start_behind": STRATEGIES,
+                                "round_inline": ()}, id="all-at-zero"),
+    # a container starts at its commit; a whole node once its last task is done
+    pytest.param(_WAITING_START, {"start_later": _WHOLE_NODE, "round_inline": STRATEGIES,
+                                  "start_inline": STRATEGIES}, id="waiting-start"),
+    # only an auction round retries, and no two arrivals share an instant
+    pytest.param(_RETRY_MEETS_ARRIVAL, {"round_behind": _AUCTIONS, "round_inline": STRATEGIES},
+                 id="retry-meets-arrival"),
+])
+def test_same_instant_handoffs_run_as_the_reference_engine(config, reached, strategy):
+    # the fast engine runs a task's ROUND or START at once when it is due now
+    # and nothing pending sorts before it; the reference pushes every one
+    seen = same_run(replace(config, strategy=strategy)).seen
+    for branch, strategies in reached.items():
+        assert (seen[branch] > 0) == (strategy in strategies), (branch, seen[branch])
+
+
 # --- the books check ------------------------------------------------------
 
 _AT_1E11 = default_config(num_devices=20, node_templates=(NodeTemplate(memory_mb=1e11),))
