@@ -16,8 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .containers import memory_footprint
-from .core import (STRATEGIES, SimConfig, WorkerNode, _in_enum, _integer, config_from_json,
-                   default_config)
+from .core import (STRATEGIES, ExecutorConfig, SimConfig, WorkerNode, _in_enum, _integer,
+                   _json_doc, config_from_dict, default_config)
 from .errors import (AucracError, ConstraintError, InputError, SchemaError,
                      UnknownEnumError)
 from .rng import MASK64
@@ -44,13 +44,18 @@ FIGURES = ("completion_vs_devices", "memory_vs_tasks", "cpu_vs_tasks", "fairness
 log = logging.getLogger("aucrac")
 
 
-def load_config(path: str) -> SimConfig:
-    """Read and validate a JSON config file. Unknown keys are errors."""
+def _read_config(path: str):
+    """The parsed JSON of a config file, unchecked."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return config_from_json(fh.read())
+            return _json_doc(fh.read())
         except UnicodeDecodeError as exc:  # the file is not UTF-8
             raise SchemaError("config", f"not valid JSON: {exc}") from exc
+
+
+def load_config(path: str) -> SimConfig:
+    """Read and validate a JSON config file. Unknown keys are errors."""
+    return config_from_dict(_read_config(path))
 
 
 @dataclass(frozen=True)
@@ -203,7 +208,7 @@ def emit_plot_data(results_csv: str, figure: str, out_dir: str | None = None) ->
 
     Series from the results feed the completion and fairness figures; the
     memory and CPU versus task count figures come from the executor load
-    model evaluated at the default settings, one series per executor mode.
+    model's constants and built-in image overheads, one series per mode.
     """
     _in_enum("figure", figure, FIGURES)
     rows = _read_results(results_csv)
@@ -250,12 +255,11 @@ def emit_plot_data(results_csv: str, figure: str, out_dir: str | None = None) ->
             write_series(f"memory_vs_tasks__{mode}",
                          [(k, memory_footprint(node, k, mode)) for k in counts])
     elif figure == "cpu_vs_tasks":
-        cfg = default_config().executor
         counts = range(0, 51, 5)
         for mode in ("container", "vm"):
-            scale = 1.0 + (cfg.vm_cpu_overhead_frac if mode == "vm" else 0.0)
-            write_series(f"cpu_vs_tasks__{mode}",
-                         [(k, min(1.0, k * cfg.cpu_share_per_task * scale)) for k in counts])
+            scale = 1.0 + (ExecutorConfig.vm_cpu_overhead_frac if mode == "vm" else 0.0)
+            write_series(f"cpu_vs_tasks__{mode}", [
+                (k, min(1.0, k * ExecutorConfig.cpu_share_per_task * scale)) for k in counts])
     return written
 
 
@@ -316,19 +320,29 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _setup_logging()
-        config = load_config(args.config) if args.config else default_config()
+        # flags win over the config file, and the file over the built-in defaults
+        doc = _read_config(args.config) if args.config else {}
+        config = config_from_dict(doc)
         if args.mode:
             config = replace(config, auction_mode=args.mode)
         if args.win_rule:
             config = replace(config, win_rule=args.win_rule)
-        strategies = STRATEGIES
-        if args.strategy and args.strategy != "all":
+        strategies = (config.strategy,) if "strategy" in doc else STRATEGIES
+        if args.strategy == "all":
+            strategies = STRATEGIES
+        elif args.strategy:
             strategies = (args.strategy,)
             config = replace(config, strategy=args.strategy)
         sweep_var, sweep_values = ("devices", (config.num_devices,))
         if args.sweep:
             sweep_var, sweep_values = _parse_sweep(args.sweep)
-        seeds = _parse_seeds(args.seeds) if args.seeds else tuple(range(30))
+        if sweep_var == "strategy" and args.strategy and args.strategy != "all":
+            raise ConstraintError("strategy", f"--strategy {args.strategy} conflicts with a "
+                                              "strategy sweep")
+        if args.seeds:
+            seeds = _parse_seeds(args.seeds)
+        else:
+            seeds = (config.seed,) if "seed" in doc else tuple(range(30))
         if args.emit_plots == "all":  # every figure the sweep supports
             figures = tuple(f for f in FIGURES
                             if sweep_var == "devices" or f != "completion_vs_devices")

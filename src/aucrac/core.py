@@ -12,6 +12,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, field, fields, replace
+from typing import ClassVar
 
 from .errors import ConstraintError, SchemaError, StateError, UnknownEnumError
 from .rng import Rng
@@ -140,28 +141,25 @@ def _valued(task: Task, value: float) -> Task:
 
 @dataclass(frozen=True)
 class ExecutorConfig:
-    """Executor-level constants shared by placement and the memory model."""
+    """Placement settings, plus the fixed constants of the container-versus-VM
+    load model behind the memory and CPU figures."""
 
     lib_overhead_mb: float = 20.0        # per container image layer cost
     os_image_overhead_mb: float = 512.0  # per VM guest image cost
-    base_footprint_mb: float = 64.0      # runtime daemon itself
     slice_granularity: float = 2e9       # cycles/s; compute slices are multiples of this
     idle_ttl_s: float = 4.0              # free containers older than this get destroyed
     max_requeues: int = 3
-    task_memory_mb: float = 128.0        # reference task size for the footprint model
-    cpu_share_per_task: float = 0.05     # reference per-task CPU share for the load model
-    vm_cpu_overhead_frac: float = 0.25   # extra CPU a VM guest burns over a container
+    base_footprint_mb: ClassVar[float] = 64.0     # runtime daemon itself
+    task_memory_mb: ClassVar[float] = 128.0       # reference task size for the footprint model
+    cpu_share_per_task: ClassVar[float] = 0.05    # reference per-task CPU share
+    vm_cpu_overhead_frac: ClassVar[float] = 0.25  # extra CPU a VM guest burns over a container
 
     def __post_init__(self):
         _non_negative("executor.lib_overhead_mb", self.lib_overhead_mb)
         _non_negative("executor.os_image_overhead_mb", self.os_image_overhead_mb)
-        _non_negative("executor.base_footprint_mb", self.base_footprint_mb)
         _positive("executor.slice_granularity", self.slice_granularity)
         _positive("executor.idle_ttl_s", self.idle_ttl_s)
         _integer("executor.max_requeues", self.max_requeues, 0)
-        _positive("executor.task_memory_mb", self.task_memory_mb)
-        _positive("executor.cpu_share_per_task", self.cpu_share_per_task)
-        _non_negative("executor.vm_cpu_overhead_frac", self.vm_cpu_overhead_frac)
 
 
 class Container:
@@ -337,6 +335,8 @@ class MetricsRecord:
                 "metrics.tasks_arrived",
                 f"conservation broken: {self.tasks_arrived} arrived vs {total} accounted",
             )
+        if not _finite(self.mn_profit):  # a revenue, or a sum of payments, that overflowed
+            raise ConstraintError("metrics.mn_profit", f"must be a finite number, got {self.mn_profit!r}")
 
 
 @dataclass(frozen=True)
@@ -499,12 +499,16 @@ def _reject_constant(literal: str):
     raise SchemaError("config", f"not valid JSON: {literal} is not a number")
 
 
-def config_from_json(text: str) -> SimConfig:
+def _json_doc(text: str):
+    """The parsed JSON of a config; `config_from_dict` checks its shape."""
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=_reject_constant)
     except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested for the parser
         raise SchemaError("config", f"not valid JSON: {exc}") from exc
-    return config_from_dict(doc)
+
+
+def config_from_json(text: str) -> SimConfig:
+    return config_from_dict(_json_doc(text))
 
 
 def default_config(**overrides) -> SimConfig:

@@ -13,7 +13,7 @@ from aucrac.cli import (EXIT_CONSTRAINT, EXIT_ENUM, EXIT_IO, EXIT_OK, EXIT_RUNTI
                         EXIT_SCHEMA, RESULTS_HEADER, ExperimentSpec, _configs_for,
                         _parse_seeds, _parse_sweep, emit_plot_data, load_config, main,
                         run_experiment)
-from aucrac.core import default_config
+from aucrac.core import STRATEGIES, default_config
 from aucrac.errors import (ConstraintError, InputError, SchemaError,
                            UnknownEnumError)
 
@@ -388,9 +388,13 @@ def test_main_unknown_key_is_schema_error(tmp_path):
     assert main(["--config", path]) == EXIT_SCHEMA
 
 
-def test_removed_startup_overhead_key_is_a_schema_error(tmp_path):
-    doc = {"executor": {"startup_overhead_lo_mb": 1.0}}
-    with pytest.raises(SchemaError, match="executor.startup_overhead_lo_mb"):
+# the load model's four constants were settable, but no run read them
+@pytest.mark.parametrize("key", ["startup_overhead_lo_mb", "startup_overhead_hi_mb",
+                                 "base_footprint_mb", "task_memory_mb", "cpu_share_per_task",
+                                 "vm_cpu_overhead_frac"])
+def test_removed_startup_overhead_key_is_a_schema_error(tmp_path, key):
+    doc = {"executor": {key: 1.0}}
+    with pytest.raises(SchemaError, match=f"executor.{key}"):
         load_config(_write_config(tmp_path, doc))
     assert main(["--config", _write_config(tmp_path, doc)]) == EXIT_SCHEMA
 
@@ -482,6 +486,62 @@ def test_main_rejects_unknown_strategy_flag(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "unknown value: strategy: must be one of ('aucrac', 'random', 'round_robin', "
         "'greedy', 'mct', 'auction_basic'), got 'sorcery'\n")
+
+
+@pytest.mark.parametrize("doc, err", [
+    ({"unit_price": 1e308}, "metrics.mn_profit: must be a finite number, got inf"),
+    ({"bid_margin": 1e308}, "metrics.mn_profit: must be a finite number, got -inf"),
+])
+def test_main_an_overflowing_profit_fails_in_one_line(tmp_path, capsys, doc, err):
+    # each once wrote an infinite mn_profit to results.csv and exited 0
+    out = tmp_path / "out"
+    code = main(["--config", _write_config(tmp_path, dict(doc, num_devices=2, num_workers=2)),
+                 "--seeds", "0", "--strategy", "random", "--out", str(out)])
+    assert code == EXIT_CONSTRAINT
+    assert capsys.readouterr().err == f"config constraint violated: {err}\n"
+    assert not (out / "results.csv").exists()
+
+
+def test_main_rejects_one_strategy_with_a_strategy_sweep(tmp_path, capsys):
+    # the sweep once ran alone and the flag was dropped
+    out = tmp_path / "out"
+    code = main(["--sweep", "strategy=aucrac", "--strategy", "mct", "--seeds", "0",
+                 "--out", str(out)])
+    assert code == EXIT_CONSTRAINT
+    assert capsys.readouterr().err == ("config constraint violated: strategy: --strategy mct "
+                                       "conflicts with a strategy sweep\n")
+    assert not (out / "results.csv").exists()
+
+
+def _rows(out):
+    with open(out / "results.csv", encoding="utf-8") as fh:
+        return fh.read().splitlines()[1:]
+
+
+# the file's keys were once ignored: each ran six strategies over seeds 0-29; a
+# key that holds its default value counts as set
+@pytest.mark.parametrize("devices, strategy, seed", [(5, "mct", 7), (2, "aucrac", 0)])
+def test_main_runs_the_strategy_and_seed_a_config_file_holds(tmp_path, devices, strategy,
+                                                             seed):
+    path = _write_config(tmp_path, {"num_devices": devices, "strategy": strategy, "seed": seed})
+    assert main(["--config", path, "--out", str(tmp_path / "file")]) == EXIT_OK
+    assert main(["--sweep", f"devices={devices}", "--strategy", strategy, "--seeds", str(seed),
+                 "--out", str(tmp_path / "flags")]) == EXIT_OK
+    rows = _rows(tmp_path / "file")
+    assert rows == _rows(tmp_path / "flags")
+    assert len(rows) == 1 and rows[0].startswith(f"devices,{devices},{strategy},{seed},")
+
+
+@pytest.mark.parametrize("flags, keys", [
+    (["--strategy", "greedy", "--seeds", "1,2"], [("greedy", "1"), ("greedy", "2")]),
+    (["--sweep", "strategy=aucrac,random"], [("aucrac", "7"), ("random", "7")]),
+    (["--strategy", "all", "--seeds", "3"], [(s, "3") for s in STRATEGIES]),
+])
+def test_main_flags_win_over_the_config_file(tmp_path, flags, keys):
+    path = _write_config(tmp_path, {"num_devices": 2, "num_workers": 2, "strategy": "mct",
+                                    "seed": 7})
+    assert main(["--config", path, "--out", str(tmp_path / "out")] + flags) == EXIT_OK
+    assert [tuple(r.split(",")[2:4]) for r in _rows(tmp_path / "out")] == keys
 
 
 def test_main_rejects_bad_seed_text(tmp_path):

@@ -122,6 +122,13 @@ def test_metrics_rejects_fairness_outside_range():
         _metrics(fairness_jain=0.1)  # below 1/2 for two nodes
 
 
+@pytest.mark.parametrize("profit", [float("inf"), float("-inf"), float("nan")])
+def test_metrics_rejects_a_profit_that_is_not_finite(profit):
+    with pytest.raises(ConstraintError, match=f"^metrics.mn_profit: must be a finite number, "
+                                              f"got {profit!r}$"):
+        _metrics(mn_profit=profit)
+
+
 # --- container and node state machines ------------------------------------
 
 def test_container_state_transitions():
