@@ -12,7 +12,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .containers import memory_footprint
@@ -85,6 +84,9 @@ class ExperimentSpec:
             object.__setattr__(self, name, values)
         for s in self.strategies:
             _in_enum("strategy", s, STRATEGIES)
+        if self.sweep_var == "strategy" and self.strategies != STRATEGIES:
+            raise ConstraintError("strategies", "a strategy sweep names the strategies; "
+                                                "leave strategies at its default")
         _integer("jobs", self.jobs, 1)
 
 
@@ -121,6 +123,9 @@ def run_experiment(spec: ExperimentSpec) -> tuple:
     log.info("running %d simulations (%s sweep, %d seeds)",
              len(combos), spec.sweep_var, len(spec.seeds))
     if spec.jobs > 1:
+        # the pool's import costs a serial run's start about 20 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             metrics = list(pool.map(_run_one, [c[-1] for c in combos], chunksize=4))
     else:
@@ -182,12 +187,13 @@ def _read_results(path: str):
     return rows
 
 
-def _reference_node() -> WorkerNode:
+def _reference_node(executor: ExecutorConfig | None) -> WorkerNode:
     cfg = default_config()
     t = cfg.node_templates[0]
     return WorkerNode(id="ref", cpu=t.cpu, memory=t.memory_mb, power=t.power_w,
                       unit_cost=t.unit_cost, time_const=t.time_const_s,
-                      executor_mode=t.executor_mode, executor=cfg.executor)
+                      executor_mode=t.executor_mode,
+                      executor=cfg.executor if executor is None else executor)
 
 
 def _device_count(sweep_var: str, value) -> float:
@@ -203,12 +209,14 @@ def _device_count(sweep_var: str, value) -> float:
                      f"{sweep_var}={value}")
 
 
-def emit_plot_data(results_csv: str, figure: str, out_dir: str | None = None) -> list:
+def emit_plot_data(results_csv: str, figure: str, out_dir: str | None = None,
+                   executor: ExecutorConfig | None = None) -> list:
     """Write two-column data files for one figure; returns the paths written.
 
     Series from the results feed the completion and fairness figures; the
     memory and CPU versus task count figures come from the executor load
-    model's constants and built-in image overheads, one series per mode.
+    model's constants, one series per mode. The memory figure adds the image
+    overheads of `executor`, the built-in config's when it is None.
     """
     _in_enum("figure", figure, FIGURES)
     rows = _read_results(results_csv)
@@ -249,7 +257,7 @@ def emit_plot_data(results_csv: str, figure: str, out_dir: str | None = None) ->
                 fh.write(f"{strategy},{left_sum(vals) / len(vals)}\n")
         written.append(path)
     elif figure == "memory_vs_tasks":
-        node = _reference_node()
+        node = _reference_node(executor)
         counts = range(0, 51, 5)
         for mode in ("container", "vm"):
             write_series(f"memory_vs_tasks__{mode}",
@@ -336,9 +344,11 @@ def main(argv=None) -> int:
         sweep_var, sweep_values = ("devices", (config.num_devices,))
         if args.sweep:
             sweep_var, sweep_values = _parse_sweep(args.sweep)
-        if sweep_var == "strategy" and args.strategy and args.strategy != "all":
-            raise ConstraintError("strategy", f"--strategy {args.strategy} conflicts with a "
-                                              "strategy sweep")
+        if sweep_var == "strategy":  # the sweep wins over a config file's strategy
+            if args.strategy and args.strategy != "all":
+                raise ConstraintError("strategy", f"--strategy {args.strategy} conflicts "
+                                                  "with a strategy sweep")
+            strategies = STRATEGIES
         if args.seeds:
             seeds = _parse_seeds(args.seeds)
         else:
@@ -357,7 +367,8 @@ def main(argv=None) -> int:
                               jobs=args.jobs)
         results_path, _agg = run_experiment(spec)
         for figure in figures:
-            for path in emit_plot_data(results_path, figure, out_dir=args.out):
+            for path in emit_plot_data(results_path, figure, out_dir=args.out,
+                                       executor=config.executor):
                 log.info("wrote %s", path)
     except SchemaError as exc:
         print(f"config schema error: {exc}", file=sys.stderr)

@@ -1,8 +1,11 @@
 """Experiment runner: sweeps, CSV output, plot data, exit codes."""
 
+import hashlib
 import json
 import logging
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -99,10 +102,18 @@ def test_spec_rejects_a_bool_for_jobs(tmp_path):
 
 
 def test_strategy_sweep_collapses_the_strategy_axis(tmp_path):
-    spec = _tiny_spec(tmp_path, sweep_var="strategy",
-                      sweep_values=("mct", "greedy"), seeds=(0,))
+    spec = _tiny_spec(tmp_path, sweep_var="strategy", sweep_values=("mct", "greedy"),
+                      strategies=STRATEGIES, seeds=(0,))
     combos = _configs_for(spec)
     assert [(v, s) for v, s, _, _ in combos] == [("mct", "mct"), ("greedy", "greedy")]
+
+
+def test_a_strategy_sweep_rejects_strategies_of_its_own():
+    # the sweep once ran alone and the strategies were dropped, silently
+    with pytest.raises(ConstraintError, match="^strategies: a strategy sweep names the "
+                                              "strategies; leave strategies at its default$"):
+        ExperimentSpec(base=default_config(), sweep_var="strategy", sweep_values=("aucrac",),
+                       strategies=("mct",), seeds=(0,))
 
 
 def test_run_order_is_value_strategy_seed(tmp_path):
@@ -241,6 +252,39 @@ def test_memory_figure_shows_vm_above_container(tmp_path):
             assert vm[count] > container[count]
     xs = sorted(container)
     assert all(container[a] < container[b] for a, b in zip(xs, xs[1:]))
+
+
+# sha256 of the memory figure's files under the built-in executor config
+_MEMORY_FIGURE = {
+    "memory_vs_tasks__container.csv":
+        "02532f256a337bfdb977099e4ffb303500ba72cc9442760fb3105f1c65128d8b",
+    "memory_vs_tasks__vm.csv": "8a24a86253354cf39be3a4dea96865205d919e2fcc1f3b20147e6dcbe30b6515",
+}
+
+
+def _memory_figure(tmp_path, doc):
+    out = tmp_path / "out"
+    assert main(["--config", _write_config(tmp_path, dict(doc, num_devices=2, num_workers=2)),
+                 "--seeds", "0", "--strategy", "mct", "--emit-plots", "memory_vs_tasks",
+                 "--out", str(out)]) == EXIT_OK
+    return {name: (out / name).read_bytes() for name in _MEMORY_FIGURE}
+
+
+def test_memory_figure_of_the_built_in_config_keeps_its_bytes(tmp_path):
+    results, _ = run_experiment(_tiny_spec(tmp_path))
+    alone = {os.path.basename(p): open(p, "rb").read()
+             for p in emit_plot_data(results, "memory_vs_tasks", out_dir=str(tmp_path / "alone"))}
+    for figure in (alone, _memory_figure(tmp_path, {})):
+        assert {name: hashlib.sha256(body).hexdigest() for name, body in figure.items()} == \
+            _MEMORY_FIGURE
+
+
+def test_memory_figure_uses_the_image_overheads_of_the_run(tmp_path):
+    # the figure once read the built-in overheads whatever the config said
+    figure = _memory_figure(tmp_path, {"executor": {"lib_overhead_mb": 300.0,
+                                                    "os_image_overhead_mb": 5000.0}})
+    assert b"\n5,2204.0\n" in figure["memory_vs_tasks__container.csv"]  # 64 + 5 * (128 + 300)
+    assert b"\n5,25704.0\n" in figure["memory_vs_tasks__vm.csv"]        # 64 + 5 * (128 + 5000)
 
 
 def test_cpu_figure_saturates_at_one(tmp_path):
@@ -513,6 +557,17 @@ def test_main_rejects_one_strategy_with_a_strategy_sweep(tmp_path, capsys):
     assert not (out / "results.csv").exists()
 
 
+def test_main_a_strategy_sweep_wins_over_the_config_files_strategy(tmp_path):
+    sweep = ["--sweep", "strategy=aucrac,mct", "--seeds", "0"]
+    for name, doc in (("plain", {}), ("file", {"strategy": "mct"})):
+        path = _write_config(tmp_path, dict(doc, num_devices=2, num_workers=2))
+        assert main(["--config", path, "--out", str(tmp_path / name)] + sweep) == EXIT_OK
+    rows = _rows(tmp_path / "file")
+    assert rows == _rows(tmp_path / "plain")
+    assert [tuple(r.split(",")[:3]) for r in rows] == [("strategy", "aucrac", "aucrac"),
+                                                       ("strategy", "mct", "mct")]
+
+
 def _rows(out):
     with open(out / "results.csv", encoding="utf-8") as fh:
         return fh.read().splitlines()[1:]
@@ -547,3 +602,13 @@ def test_main_flags_win_over_the_config_file(tmp_path, flags, keys):
 def test_main_rejects_bad_seed_text(tmp_path):
     path = _write_config(tmp_path, {"num_devices": 2, "num_workers": 2})
     assert main(["--config", path, "--seeds", "x..y"]) == EXIT_SCHEMA
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a sweep with more than one job starts the pool, so only it pays for the import
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, aucrac.cli; print(sorted(m for m in "
+         "('multiprocessing', 'concurrent.futures.process') if m in sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
+    assert child.stdout == "[]\n"
