@@ -29,7 +29,9 @@ EXIT_ENUM = 4
 EXIT_IO = 5
 EXIT_RUNTIME = 6
 
-SWEEP_VARS = ("devices", "workers", "strategy")
+# each sweep variable -> the SimConfig field it sets
+_SWEEP_FIELDS = {"devices": "num_devices", "workers": "num_workers", "strategy": "strategy"}
+SWEEP_VARS = tuple(_SWEEP_FIELDS)
 
 RESULTS_HEADER = ("sweep_var,sweep_value,strategy,seed,mean_completion_s,"
                   "p95_completion_s,deadline_miss,fairness_jain,mn_profit,"
@@ -92,20 +94,12 @@ class ExperimentSpec:
 
 def _configs_for(spec: ExperimentSpec):
     """Deterministic run order: sweep value, then strategy, then seed."""
+    name = _SWEEP_FIELDS[spec.sweep_var]
     combos = []
     for value in spec.sweep_values:
-        if spec.sweep_var == "strategy":
-            strategies = (value,)
-        else:
-            strategies = spec.strategies
-        for strategy in strategies:
+        for strategy in (value,) if spec.sweep_var == "strategy" else spec.strategies:
             for seed in spec.seeds:
-                cfg = spec.base
-                if spec.sweep_var == "devices":
-                    cfg = replace(cfg, num_devices=value)
-                elif spec.sweep_var == "workers":
-                    cfg = replace(cfg, num_workers=value)
-                cfg = replace(cfg, strategy=strategy, seed=seed)
+                cfg = replace(spec.base, **{name: value, "strategy": strategy, "seed": seed})
                 combos.append((value, strategy, seed, cfg))
     return combos
 

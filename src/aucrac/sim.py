@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left, insort
 from collections import Counter, deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import cycle, islice
 from operator import attrgetter, itemgetter
 
@@ -113,15 +113,6 @@ def mn_profit(outcomes, tasks, unit_price: float) -> float:
     return profit
 
 
-@dataclass
-class SimState:
-    """Mutable assignment-time context shared by the strategies."""
-
-    now: float = 0.0
-    rr_next: int = 0
-    available_at: dict = field(default_factory=dict)
-
-
 def run_task_auction(task: Task, nodes, config: SimConfig, now: float) -> AuctionOutcome | None:
     """Collect sealed bids for one task and resolve them.
 
@@ -146,30 +137,14 @@ def run_task_auction(task: Task, nodes, config: SimConfig, now: float) -> Auctio
     return run_sealed_auction(task, bids, config.win_rule) if bids else None
 
 
-def assign(strategy: str, task: Task, nodes, rng: Rng, state: SimState) -> str:
-    """Pick the executing node for one task under a whole-node strategy.
-
-    The definition of a whole-node pick; the engine's queues reproduce it
-    for `mct` and `greedy` without a pass over every node.
-    """
+def assign(strategy: str, task: Task, nodes, rng: Rng, turn: int) -> str:
+    """Pick the executing node for one task under `random` or `round_robin`,
+    the whole-node picks that read no node state; `turn` counts the run's
+    earlier picks. The `mct` and `greedy` picks are `_Queues`'."""
     if strategy == "random":
         return rng.choice(nodes).id
     if strategy == "round_robin":
-        node = nodes[state.rr_next % len(nodes)]
-        state.rr_next += 1
-        return node.id
-    if strategy == "greedy":
-        # most free compute right now; a node mid-execution counts as fully
-        # committed, and capacity breaks ties when everything is busy
-        def free(node):
-            busy = state.available_at.get(node.id, 0.0) > state.now
-            return (0.0 if busy else node.cpu, node.cpu)
-        return max(nodes, key=free).id
-    if strategy == "mct":
-        def eta(node):
-            wait = max(0.0, state.available_at.get(node.id, 0.0) - state.now)
-            return wait + execution_time(node, task)
-        return min(nodes, key=lambda n: (eta(n), n.id)).id
+        return nodes[turn % len(nodes)].id
     raise InputError(f"unknown strategy {strategy!r}")
 
 
@@ -253,10 +228,11 @@ class _Assign(_Market):
         self.strategy, self.weights = engine.config.strategy, engine.config.weights
         self.margin = engine.config.bid_margin
         self.nodes, self.node_by_id, self.rng = engine.nodes, engine.node_by_id, engine.rng_dyn
-        self.state = SimState()
+        self.turn = 0  # picks made so far
 
     def pick(self, task: Task, now: float) -> tuple:
-        node = self.node_by_id[assign(self.strategy, task, self.nodes, self.rng, self.state)]
+        node = self.node_by_id[assign(self.strategy, task, self.nodes, self.rng, self.turn)]
+        self.turn += 1
         return valuation_unchecked(node, task, self.weights, self.margin), node
 
 
@@ -269,23 +245,28 @@ class _Queue:
         self.busy = []  # (available_at, rank) of the others, sorted
 
 
-class _Queues(_Assign):
-    """`assign`'s `mct` and `greedy` picks, from per-(cpu, time_const) queues.
+class _Queues(_Market):
+    """The `mct` and `greedy` picks, paid their `valuation_unchecked` ask,
+    from per-(cpu, time_const) queues. `mct` takes the least eta
+    `max(0, available_at - now) + execution_time`, then the least id, and
+    `greedy` the most free cpu (none if busy), then the most cpu, then the
+    first node.
 
     Those two fields are all either pick reads of a node, so a pick needs
     from each class only its idle nodes and its soonest-free busy ones. A
     rank is a node's place in the pick's tie order: id for `mct`, position
-    for `greedy`. A busy node's eta `(available_at - now) + execution_time`
-    never falls along `busy` but can equal the eta before it, so `mct`
-    searches the equal-eta prefix for the smallest rank. With every node
-    busy, `greedy` takes `fallback`, the first node with the largest cpu.
+    for `greedy`. A busy node's eta never falls along `busy` but can equal
+    the eta before it, so `mct` searches the equal-eta prefix for the
+    smallest rank. With every node busy, `greedy` takes `fallback`, the
+    first node with the largest cpu.
     """
 
     def __init__(self, engine):
-        super().__init__(engine)
-        self.greedy = self.strategy == "greedy"
+        config, nodes = engine.config, engine.nodes
+        self.weights, self.margin = config.weights, config.bid_margin
+        self.greedy = config.strategy == "greedy"
         # node by rank; a stable sort keeps node order among equal ids
-        self.ranked = list(self.nodes) if self.greedy else sorted(self.nodes, key=attrgetter("id"))
+        self.ranked = list(nodes) if self.greedy else sorted(nodes, key=attrgetter("id"))
         queues = {}
         self.home = {}  # node id -> (queue, rank)
         for r, node in enumerate(self.ranked):  # every node is idle at time 0
@@ -293,7 +274,7 @@ class _Queues(_Assign):
             q.idle.append(r)
             self.home[node.id] = (q, r)
         self.queues = list(queues.values())
-        self.fallback = max(self.nodes, key=attrgetter("cpu"))
+        self.fallback = max(nodes, key=attrgetter("cpu"))
 
     def queued(self, node, before, finish):
         # re-file the node as busy until `finish`; an entry moves to `idle` only

@@ -8,8 +8,8 @@ definition it reproduces: the oracle every fast path is tested against.
   `run_task_auction` over every node.
 - `pick` of the literal market (`sim._Literal`): `allocate_tasks_literal`,
   its standing bids carried from round to round.
-- `pick` of both whole-node markets (`sim._Assign`, `sim._Queues`):
-  `assign` over every node.
+- `pick` of the whole-node markets: `assign` for `sim._Assign`, and for
+  `sim._Queues` the `mct` and `greedy` definitions in `ReferenceAssign`.
 - `reap` of the container executor: `reap_idle` on every node, in node
   order, on every round.
 - `check_books` of both executors: the books of every node, and each
@@ -97,23 +97,25 @@ class ReferenceLiteral(ReferenceAuction):
 
 class ReferenceAssign(_Reference, sim._Assign):
     def pick(self, task, now):
-        available_at = self.state.available_at = self.engine.executor.available_at
-        self.state.now = now
-        node = self.node_by_id[sim.assign(self.strategy, task, self.nodes, self.rng, self.state)]
-        busy = {n.id for n in self.nodes if available_at.get(n.id, 0.0) > now}
-        if self.strategy == "mct":
-            eta = {n.id: max(0.0, available_at.get(n.id, 0.0) - now) + execution_time(n, task)
-                   for n in self.nodes}
-            tied = [n for n in self.nodes if eta[n.id] == eta[node.id]]
-            self.seen["busy"] += node.id in busy
-            self.seen["class_tie"] += len({(n.cpu, n.time_const) for n in tied}) > 1
-            self.seen["busy_tie"] += len(tied) > 1 and any(n.id in busy for n in tied)
-        elif self.strategy == "greedy":
-            tied = [n for n in self.nodes
-                    if n.cpu == node.cpu and (n.id in busy) == (node.id in busy)]
-            self.seen["all_busy"] += len(busy) == len(self.nodes)
-            self.seen["position_not_id"] += min(n.id for n in tied) != node.id
-        return valuation_unchecked(node, task, self.weights, self.margin), node
+        if self.strategy not in ("mct", "greedy"):
+            return super().pick(task, now)
+        nodes, available_at = self.nodes, self.engine.executor.available_at
+        every = range(len(nodes))  # keyed by position: two nodes may share an id
+        busy = [available_at.get(n.id, 0.0) > now for n in nodes]
+        if self.strategy == "mct":  # the least eta, then the least id
+            eta = [max(0.0, available_at.get(n.id, 0.0) - now) + execution_time(n, task)
+                   for n in nodes]
+            i = min(every, key=lambda j: (eta[j], nodes[j].id))
+            tied = [j for j in every if eta[j] == eta[i]]
+            self.seen["busy"] += busy[i]
+            self.seen["class_tie"] += len({(nodes[j].cpu, nodes[j].time_const) for j in tied}) > 1
+            self.seen["busy_tie"] += len(tied) > 1 and any(busy[j] for j in tied)
+        else:  # the most free cpu, none if busy, then the most cpu, then the first node
+            i = max(every, key=lambda j: (0.0 if busy[j] else nodes[j].cpu, nodes[j].cpu))
+            tied = [j for j in every if nodes[j].cpu == nodes[i].cpu and busy[j] == busy[i]]
+            self.seen["all_busy"] += all(busy)
+            self.seen["position_not_id"] += min(nodes[j].id for j in tied) != nodes[i].id
+        return valuation_unchecked(nodes[i], task, self.weights, self.margin), nodes[i]
 
 
 class _FullCheck(_Reference):

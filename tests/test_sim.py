@@ -16,7 +16,7 @@ from aucrac.core import (STRATEGIES, NodeTemplate, ResourceWeights, Task, Worker
 from aucrac.costmodel import execution_time
 from aucrac.errors import ConstraintError, InputError, StateError
 from aucrac.rng import new_rng
-from aucrac.sim import (SimEvent, SimState, _percentile, assign, jain_fairness, left_sum,
+from aucrac.sim import (SimEvent, _percentile, assign, jain_fairness, left_sum,
                         mn_profit, parse_event_line, run, run_task_auction,
                         utilization_series)
 from aucrac.core import AuctionOutcome
@@ -88,50 +88,50 @@ def _simple_task(cycles=3e9, deadline=10.0):
 
 
 def test_round_robin_cycles_through_nodes():
-    state = SimState()
     nodes = _hand_nodes()
     rng = new_rng(0)
-    picks = [assign("round_robin", _simple_task(), nodes, rng, state) for _ in range(4)]
+    picks = [assign("round_robin", _simple_task(), nodes, rng, turn) for turn in range(4)]
     assert picks == ["wn000", "wn001", "wn000", "wn001"]
 
 
 def test_mct_prefers_the_earliest_finish():
-    state = SimState()
-    nodes = _hand_nodes()
-    # both idle: the faster cpu finishes first
-    assert assign("mct", _simple_task(), nodes, new_rng(0), state) == "wn001"
-    # pile 100 s of queue on the fast node and the slow one wins
-    state.available_at["wn001"] = 100.0
-    assert assign("mct", _simple_task(), nodes, new_rng(0), state) == "wn000"
+    # both idle: the faster cpu finishes first, here after 100 s; then, with
+    # 100 s of queue on the fast node, the slow one wins
+    steps = [(0.0, _simple_task(cycles=1e11)), (0.0, _simple_task())]
+    picks = same_picks(_hand_nodes(), steps, default_config(strategy="mct"))
+    assert picks == ["wn001", "wn000"]
 
 
 def test_greedy_takes_the_biggest_free_node():
-    state = SimState()
-    nodes = _hand_nodes()
-    assert assign("greedy", _simple_task(), nodes, new_rng(0), state) == "wn001"
-    # a busy big node loses to a free small one
-    state.now = 0.0
-    state.available_at["wn001"] = 5.0
-    assert assign("greedy", _simple_task(), nodes, new_rng(0), state) == "wn000"
+    # both idle: the bigger cpu wins; then a busy big node loses to a free small one
+    steps = [(0.0, _simple_task()), (0.0, _simple_task())]
+    picks = same_picks(_hand_nodes(), steps, default_config(strategy="greedy"))
+    assert picks == ["wn001", "wn000"]
 
 
 def test_random_assignment_is_seed_deterministic():
     nodes = _hand_nodes()
-    picks_a = [assign("random", _simple_task(), nodes, new_rng(7), SimState()) for _ in range(1)]
-    picks_b = [assign("random", _simple_task(), nodes, new_rng(7), SimState()) for _ in range(1)]
+    picks_a = [assign("random", _simple_task(), nodes, new_rng(7), 0) for _ in range(1)]
+    picks_b = [assign("random", _simple_task(), nodes, new_rng(7), 0) for _ in range(1)]
     assert picks_a == picks_b
 
 
 def test_unknown_strategy_is_rejected():
     with pytest.raises(InputError):
-        assign("astrology", _simple_task(), _hand_nodes(), new_rng(0), SimState())
+        assign("astrology", _simple_task(), _hand_nodes(), new_rng(0), 0)
 
 
 @pytest.mark.parametrize("strategy", ["aucrac", "auction_basic"])
 def test_assign_is_only_for_whole_node_strategies(strategy):
     # the auction markets price their rounds themselves; assign has no auction
     with pytest.raises(InputError, match=f"unknown strategy '{strategy}'"):
-        assign(strategy, _simple_task(), _hand_nodes(), new_rng(0), SimState())
+        assign(strategy, _simple_task(), _hand_nodes(), new_rng(0), 0)
+
+
+@pytest.mark.parametrize("strategy", ["mct", "greedy"])
+def test_assign_leaves_the_picks_that_read_node_state_to_the_queues(strategy):
+    with pytest.raises(InputError, match=f"unknown strategy '{strategy}'"):
+        assign(strategy, _simple_task(), _hand_nodes(), new_rng(0), 0)
 
 
 # --- one-task auctions against hand nodes ---------------------------------
@@ -795,6 +795,20 @@ def test_a_shared_run_equals_the_unshared_one():
         shared = run(config)
     assert shared.log_lines == alone.log_lines
     assert shared.metrics == alone.metrics
+
+
+def test_a_run_the_block_did_not_count_draws_its_own_workload():
+    counted = default_config(num_devices=4)
+    other = replace(counted, num_devices=3)
+    want = generate_workload(other, new_rng(other.seed).fork(2))
+    with sim.shared_workloads([counted, counted]):
+        sim._workload(counted, new_rng(counted.seed).fork(2))  # stores the key's draws
+        packed, uses = dict(sim._shared.packed), Counter(sim._shared.uses)
+        got = sim._workload(other, new_rng(other.seed).fork(2))
+        assert got == want
+        assert list(map(repr, got)) == list(map(repr, want))
+        assert sim._shared.packed == packed and sim._shared.uses == uses
+    assert sim._shared is None
 
 
 def test_a_draw_that_raises_stores_nothing_for_its_key():
