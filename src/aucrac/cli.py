@@ -120,7 +120,8 @@ def run_experiment(spec: ExperimentSpec) -> tuple:
         # the pool's import costs a serial run's start about 20 ms
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+        # under fork the pool starts every worker at its first submit, so cap them at the CPUs
+        with ProcessPoolExecutor(max_workers=min(spec.jobs, os.cpu_count() or 1)) as pool:
             metrics = list(pool.map(_run_one, [c[-1] for c in combos], chunksize=4))
     else:
         # each workload is drawn once, and the runs keep the row order
@@ -167,15 +168,27 @@ def run_experiment(spec: ExperimentSpec) -> tuple:
 
 
 def _read_results(path: str):
+    """The data rows of a results.csv, each a dict with its metrics as floats."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise InputError(f"{path} is empty")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     expected = RESULTS_HEADER.split(",")
     if header != expected:
         raise SchemaError("header", f"columns must be exactly {RESULTS_HEADER!r}")
-    rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+    rows = []
+    for n, ln in lines[1:]:
+        where, cells = f"{path}:{n}", ln.split(",")
+        if len(cells) != len(header):
+            raise SchemaError(where, f"expected {len(header)} cells, got {len(cells)}")
+        row = dict(zip(header, cells))
+        for name in _AGG_METRICS:
+            try:
+                row[name] = float(row[name])
+            except ValueError:
+                raise SchemaError(where, f"{name} must be a number, got {row[name]!r}") from None
+        rows.append(row)
     if not rows:
         raise InputError(f"{path} has no data rows")
     return rows
@@ -234,7 +247,7 @@ def emit_plot_data(results_csv: str, figure: str, out_dir: str | None = None,
         series = {}
         for r in rows:
             x = _device_count(r["sweep_var"], r["sweep_value"])
-            series.setdefault((r["strategy"], x), []).append(float(r["mean_completion_s"]))
+            series.setdefault((r["strategy"], x), []).append(r["mean_completion_s"])
         for strategy in sorted({s for s, _ in series}, key=order):
             pairs = sorted((x, left_sum(v) / len(v)) for (s, x), v in series.items()
                            if s == strategy)
@@ -242,7 +255,7 @@ def emit_plot_data(results_csv: str, figure: str, out_dir: str | None = None,
     elif figure == "fairness_table":
         by_strategy = {}
         for r in rows:
-            by_strategy.setdefault(r["strategy"], []).append(float(r["fairness_jain"]))
+            by_strategy.setdefault(r["strategy"], []).append(r["fairness_jain"])
         path = os.path.join(out_dir, "fairness_table.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("strategy,fairness_jain_mean\n")

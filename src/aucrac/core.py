@@ -10,7 +10,6 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from array import array
 from dataclasses import dataclass, field, fields, replace
 from typing import ClassVar
 
@@ -570,24 +569,3 @@ def generate_workload(config: SimConfig, rng: Rng) -> tuple:
     _non_negative("task.arrival_time", clock)
     return tuple(tasks)
 
-
-def pack_workload(tasks: tuple) -> tuple:
-    """A tuple `generate_workload` returned, as (one array of each task's
-    eight drawn floats, in `Task`'s field order; the labels).
-
-    The array holds a task in 64 bytes, a small share of the task itself;
-    `unpack_workload` gives the tuple back, field for field.
-    """
-    draws = array("d")
-    for t in tasks:
-        draws.extend((t.data_in, t.data_out, t.cycles, t.memory, t.power, t.deadline, t.td_max,
-                      t.arrival_time))
-    return draws, tuple(t.intensity for t in tasks)
-
-
-def unpack_workload(packed: tuple) -> tuple:
-    """The tasks `pack_workload` packed: a task's id follows from its position."""
-    draws, labels = packed
-    rows = zip(*[iter(draws)] * 8)
-    return tuple(_trusted_task(f"t{i:05d}", *row, None, label)
-                 for i, (label, row) in enumerate(zip(labels, rows)))

@@ -20,7 +20,7 @@ from operator import attrgetter, itemgetter
 from . import containers as ct
 from .auction import mn_revenue, run_sealed_auction
 from .core import (AuctionOutcome, Bid, MetricsRecord, SimConfig, Task, WorkerNode,
-                   _valued, generate_workload, pack_workload, unpack_workload)
+                   _valued, generate_workload)
 from .costmodel import deadline_eligibility, execution_time, valuation, valuation_unchecked
 from .errors import InfeasibleError, InputError, PlacementRejected, StateError
 from .rng import MASK64, Rng, new_rng
@@ -597,26 +597,28 @@ def _workload_key(config: SimConfig) -> tuple:
 
 
 class _SharedWorkloads:
-    """The workloads of one sweep's runs, each drawn once: a key's packed
-    draws are kept from its first run to its last, counted up front."""
+    """The workloads of one sweep's runs, each drawn once: a key's drawn
+    tuple is kept from its first run to its last, counted up front, and each
+    run gets it as is (a `Task` is frozen; a run replaces one via `_valued`)."""
 
-    __slots__ = ("uses", "packed")
+    __slots__ = ("uses", "drawn")
 
     def __init__(self, configs):
         self.uses = Counter(map(_workload_key, configs))  # key -> runs still to come
-        self.packed = {}  # key -> pack_workload of its tasks, between its runs
+        self.drawn = {}  # key -> its tasks as generate_workload drew them, between its runs
 
     def tasks(self, config: SimConfig, rng: Rng) -> tuple:
         key = _workload_key(config)
         left = self.uses[key] - 1
         if left < 0:  # a run the sweep did not count
             return generate_workload(config, rng)
-        packed = self.packed.pop(key, None)
-        tasks = generate_workload(config, rng) if packed is None else unpack_workload(packed)
+        tasks = self.drawn.pop(key, None)
+        if tasks is None:
+            tasks = generate_workload(config, rng)
         # set only once the draw returned: a draw that raises stores nothing
         if left:
             self.uses[key] = left
-            self.packed[key] = packed or pack_workload(tasks)
+            self.drawn[key] = tasks
         else:
             del self.uses[key]
         return tasks

@@ -1,9 +1,11 @@
 """Experiment runner: sweeps, CSV output, plot data, exit codes."""
 
+import concurrent.futures
 import hashlib
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -145,6 +147,33 @@ def test_rerun_is_byte_identical(tmp_path):
 def test_parallel_jobs_change_nothing(tmp_path):
     ra, aa = run_experiment(_tiny_spec(tmp_path / "serial"))
     rp, ap = run_experiment(_tiny_spec(tmp_path / "parallel", jobs=2))
+    assert open(ra, "rb").read() == open(rp, "rb").read()
+    assert open(aa, "rb").read() == open(ap, "rb").read()
+
+
+@pytest.mark.parametrize("cpus, jobs, workers", [(3, 10**6, 3), (3, 2, 2), (None, 10**6, 1)],
+                         ids=("many_jobs", "few_jobs", "cpus_unknown"))
+def test_the_pool_starts_at_most_one_worker_per_cpu(tmp_path, monkeypatch, cpus, jobs, workers):
+    started = []
+
+    class SerialPool:  # records the pool's size and runs its map in this process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    ra, aa = run_experiment(_tiny_spec(tmp_path / "serial"))
+    rp, ap = run_experiment(_tiny_spec(tmp_path / "pool", jobs=jobs))
+    assert started == [workers]
     assert open(ra, "rb").read() == open(rp, "rb").read()
     assert open(aa, "rb").read() == open(ap, "rb").read()
 
@@ -312,6 +341,27 @@ def test_plot_data_guards(tmp_path):
     with pytest.raises(InputError, match="^figure completion_vs_devices needs a devices sweep, "
                                          "got workers=2$"):
         emit_plot_data(workers, "completion_vs_devices")
+
+
+def _short_row(cells):
+    return cells[:5]
+
+
+def _text_metric(cells):
+    return cells[:4] + ["abc"] + cells[5:]  # in mean_completion_s
+
+
+@pytest.mark.parametrize("spoil, figure, message", [
+    (_short_row, "fairness_table", "expected 11 cells, got 5"),
+    (_text_metric, "completion_vs_devices", "mean_completion_s must be a number, got 'abc'"),
+], ids=("short_row", "text_metric"))
+def test_a_results_row_that_cannot_be_read_names_its_line(tmp_path, spoil, figure, message):
+    results, _ = run_experiment(_tiny_spec(tmp_path))
+    header, first, second = open(results, encoding="utf-8").read().splitlines()[:3]
+    bad = tmp_path / "bad.csv"  # a blank line still counts toward the line number
+    bad.write_text("\n".join([header, "", first, ",".join(spoil(second.split(",")))]) + "\n")
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(bad))}:4: {re.escape(message)}$"):
+        emit_plot_data(str(bad), figure)
 
 
 # --- config loading and exit codes ----------------------------------------

@@ -779,12 +779,24 @@ def test_a_shared_workload_is_the_generated_one_field_for_field(config, runs):
     with sim.shared_workloads(configs):
         for i, cfg in enumerate(configs):  # each draws as the engine does
             # every run after the first finds the draws the first one stored
-            assert (sim._workload_key(cfg) in sim._shared.packed) == (i > 0)
+            assert (sim._workload_key(cfg) in sim._shared.drawn) == (i > 0)
             got = sim._workload(cfg, new_rng(cfg.seed).fork(2))
             assert got == want
             assert list(map(repr, got)) == list(map(repr, want))
-        assert not sim._shared.uses and not sim._shared.packed
+        assert not sim._shared.uses and not sim._shared.drawn
     assert sim._shared is None
+
+
+def test_every_later_run_of_a_key_gets_the_tuple_its_first_run_drew():
+    config = default_config(num_devices=4)
+    key = sim._workload_key(config)
+    configs = [config, replace(config, strategy="mct"), replace(config, num_workers=3)]
+    with sim.shared_workloads(configs):
+        first = sim._workload(config, new_rng(config.seed).fork(2))
+        for cfg in configs[1:]:
+            assert sim._shared.drawn[key] is first
+            assert sim._workload(cfg, new_rng(cfg.seed).fork(2)) is first
+        assert key not in sim._shared.drawn  # the key's last run took it
 
 
 def test_a_shared_run_equals_the_unshared_one():
@@ -803,11 +815,11 @@ def test_a_run_the_block_did_not_count_draws_its_own_workload():
     want = generate_workload(other, new_rng(other.seed).fork(2))
     with sim.shared_workloads([counted, counted]):
         sim._workload(counted, new_rng(counted.seed).fork(2))  # stores the key's draws
-        packed, uses = dict(sim._shared.packed), Counter(sim._shared.uses)
+        drawn, uses = dict(sim._shared.drawn), Counter(sim._shared.uses)
         got = sim._workload(other, new_rng(other.seed).fork(2))
         assert got == want
         assert list(map(repr, got)) == list(map(repr, want))
-        assert sim._shared.packed == packed and sim._shared.uses == uses
+        assert sim._shared.drawn == drawn and sim._shared.uses == uses
     assert sim._shared is None
 
 
@@ -817,6 +829,6 @@ def test_a_draw_that_raises_stores_nothing_for_its_key():
         for _ in range(2):  # each run draws again, and fails as an unshared run does
             with pytest.raises(ConstraintError, match="^task.arrival_time: "):
                 run(config)
-            assert sim._shared.packed == {}
+            assert sim._shared.drawn == {}
             assert sim._shared.uses == Counter({sim._workload_key(config): 2})
     assert sim._shared is None
