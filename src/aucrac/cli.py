@@ -33,12 +33,10 @@ EXIT_RUNTIME = 6
 _SWEEP_FIELDS = {"devices": "num_devices", "workers": "num_workers", "strategy": "strategy"}
 SWEEP_VARS = tuple(_SWEEP_FIELDS)
 
-RESULTS_HEADER = ("sweep_var,sweep_value,strategy,seed,mean_completion_s,"
-                  "p95_completion_s,deadline_miss,fairness_jain,mn_profit,"
-                  "peak_mem_mb,mean_cpu_frac")
-
 _AGG_METRICS = ("mean_completion_s", "p95_completion_s", "deadline_miss",
                 "fairness_jain", "mn_profit", "peak_mem_mb", "mean_cpu_frac")
+
+RESULTS_HEADER = ",".join(("sweep_var", "sweep_value", "strategy", "seed") + _AGG_METRICS)
 
 FIGURES = ("completion_vs_devices", "memory_vs_tasks", "cpu_vs_tasks", "fairness_table")
 
@@ -116,6 +114,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple:
     combos = _configs_for(spec)
     log.info("running %d simulations (%s sweep, %d seeds)",
              len(combos), spec.sweep_var, len(spec.seeds))
+    os.makedirs(spec.out_dir, exist_ok=True)  # an --out that cannot be made fails before any run
     if spec.jobs > 1:
         # the pool's import costs a serial run's start about 20 ms
         from concurrent.futures import ProcessPoolExecutor
@@ -125,10 +124,9 @@ def run_experiment(spec: ExperimentSpec) -> tuple:
             metrics = list(pool.map(_run_one, [c[-1] for c in combos], chunksize=4))
     else:
         # each workload is drawn once, and the runs keep the row order
-        with shared_workloads(c[-1] for c in combos):
+        with shared_workloads():
             metrics = [_run_one(c[-1]) for c in combos]
 
-    os.makedirs(spec.out_dir, exist_ok=True)
     results_path = os.path.join(spec.out_dir, "results.csv")
     rows = []
     for (value, strategy, seed, _cfg), m in zip(combos, metrics):
@@ -173,10 +171,9 @@ def _read_results(path: str):
         lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise InputError(f"{path} is empty")
-    header = lines[0][1].split(",")
-    expected = RESULTS_HEADER.split(",")
-    if header != expected:
-        raise SchemaError("header", f"columns must be exactly {RESULTS_HEADER!r}")
+    if lines[0][1] != RESULTS_HEADER:
+        raise SchemaError(f"{path}:{lines[0][0]}", f"columns must be exactly {RESULTS_HEADER!r}")
+    header = RESULTS_HEADER.split(",")
     rows = []
     for n, ln in lines[1:]:
         where, cells = f"{path}:{n}", ln.split(",")

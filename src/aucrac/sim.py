@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, insort
-from collections import Counter, deque
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import cycle, islice
@@ -596,46 +596,21 @@ def _workload_key(config: SimConfig) -> tuple:
     return config.seed & MASK64, config.num_devices, config.workload
 
 
-class _SharedWorkloads:
-    """The workloads of one sweep's runs, each drawn once: a key's drawn
-    tuple is kept from its first run to its last, counted up front, and each
-    run gets it as is (a `Task` is frozen; a run replaces one via `_valued`)."""
-
-    __slots__ = ("uses", "drawn")
-
-    def __init__(self, configs):
-        self.uses = Counter(map(_workload_key, configs))  # key -> runs still to come
-        self.drawn = {}  # key -> its tasks as generate_workload drew them, between its runs
-
-    def tasks(self, config: SimConfig, rng: Rng) -> tuple:
-        key = _workload_key(config)
-        left = self.uses[key] - 1
-        if left < 0:  # a run the sweep did not count
-            return generate_workload(config, rng)
-        tasks = self.drawn.pop(key, None)
-        if tasks is None:
-            tasks = generate_workload(config, rng)
-        # set only once the draw returned: a draw that raises stores nothing
-        if left:
-            self.uses[key] = left
-            self.drawn[key] = tasks
-        else:
-            del self.uses[key]
-        return tasks
-
-
-_shared = None  # the open sweep's _SharedWorkloads, or None outside shared_workloads
+_shared = None  # the open sweep's masked seed -> (key, tasks), or None outside shared_workloads
 
 
 @contextmanager
-def shared_workloads(configs):
-    """Within the block, the runs of `configs` that share a workload key
-    draw their tasks once. They may run in any order, and each run still
-    gets the tuple `generate_workload` gives it. `run(config)` keeps its one
-    argument, so the engine finds the open block here, not as a parameter;
-    once the block exits, however it exits, nothing of it is kept."""
+def shared_workloads():
+    """Within the block, each masked seed keeps the tuple of its last draw
+    and that draw's workload key. A run of the same key gets the tuple as is
+    (a `Task` is frozen; a run replaces one via `_valued`); a run of another
+    key draws its own, which takes the seed's place. A sweep changes a seed's
+    key only between sweep values, so each of its workloads is drawn once.
+    `run(config)` keeps its one argument, so the engine finds the open block
+    here, not as a parameter; once the block exits, however it exits,
+    nothing of it is kept."""
     global _shared
-    _shared = _SharedWorkloads(configs)
+    _shared = {}
     try:
         yield
     finally:
@@ -643,7 +618,15 @@ def shared_workloads(configs):
 
 
 def _workload(config: SimConfig, rng: Rng) -> tuple:
-    return generate_workload(config, rng) if _shared is None else _shared.tasks(config, rng)
+    if _shared is None:
+        return generate_workload(config, rng)
+    key = _workload_key(config)
+    kept, tasks = _shared.get(key[0], (None, None))
+    if kept != key:
+        tasks = generate_workload(config, rng)
+        # set only once the draw returned: a draw that raises stores nothing
+        _shared[key[0]] = key, tasks
+    return tasks
 
 
 class _Engine:

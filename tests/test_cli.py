@@ -212,6 +212,29 @@ def test_a_serial_sweep_draws_each_workload_once(tmp_path, draws, sweep, values,
         assert open(a, "rb").read() == open(b, "rb").read()
 
 
+def test_a_devices_sweep_holds_one_tuple_per_seed(tmp_path, monkeypatch, draws):
+    spec = ExperimentSpec(base=default_config(num_devices=2, num_workers=2),
+                          sweep_var="devices", sweep_values=(1, 2, 3),
+                          strategies=("aucrac", "mct"), seeds=(0, 1), out_dir=str(tmp_path))
+    run, held = cli.run, []
+
+    def recorded(config):
+        result = run(config)
+        held.append(dict(sim._shared))
+        return result
+
+    monkeypatch.setattr(cli, "run", recorded)
+    run_experiment(spec)
+    assert len(draws) == 6
+    for (value, _strategy, seed, config), store in zip(_configs_for(spec), held):
+        assert set(store) <= {0, 1}  # one entry per seed
+        key, tasks = store[seed]  # the run's own seed holds this device count's tuple
+        assert key == sim._workload_key(config)
+        assert len(tasks) == value * config.workload.tasks_per_device
+        for other in set(store) - {seed}:  # the other seed holds this or the last count's
+            assert store[other][0][1] in (value, value - 1)
+
+
 def test_a_sweep_that_raises_keeps_no_workload(tmp_path, monkeypatch, draws):
     spec = _tiny_spec(tmp_path)
     config = _configs_for(spec)[0][-1]
@@ -334,7 +357,7 @@ def test_plot_data_guards(tmp_path):
         emit_plot_data(str(empty), "fairness_table")
     wrong = tmp_path / "wrong.csv"
     wrong.write_text("sweep_var,strategy\n")
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(wrong))}:1: columns must be exactly "):
         emit_plot_data(str(wrong), "fairness_table")
     # a workers sweep has worker counts, not device counts, for x
     workers, _ = run_experiment(_tiny_spec(tmp_path / "workers", sweep_var="workers"))
@@ -475,6 +498,22 @@ def test_main_all_plots_over_a_strategy_sweep_skips_the_completion_figure(tmp_pa
 
 def test_main_missing_config_file_is_io_error(tmp_path):
     assert main(["--config", str(tmp_path / "nope.json")]) == EXIT_IO
+
+
+def test_main_an_out_that_cannot_be_made_fails_before_any_run(tmp_path, capsys, monkeypatch):
+    run, calls = cli.run, []
+
+    def counted(config):
+        calls.append(config)
+        return run(config)
+
+    monkeypatch.setattr(cli, "run", counted)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["--seeds", "0..4", "--sweep", "devices=10,20", "--out", str(blocker / "sub")])
+    assert code == EXIT_IO
+    assert calls == []
+    assert capsys.readouterr().err.startswith("file error: ")
 
 
 def test_main_unknown_key_is_schema_error(tmp_path):

@@ -15,7 +15,7 @@ from aucrac.core import (STRATEGIES, NodeTemplate, ResourceWeights, Task, Worker
                          WorkloadSpec, default_config, generate_workload)
 from aucrac.costmodel import execution_time
 from aucrac.errors import ConstraintError, InputError, StateError
-from aucrac.rng import new_rng
+from aucrac.rng import MASK64, new_rng
 from aucrac.sim import (SimEvent, _percentile, assign, jain_fairness, left_sum,
                         mn_profit, parse_event_line, run, run_task_auction,
                         utilization_series)
@@ -776,14 +776,14 @@ def test_a_shared_workload_is_the_generated_one_field_for_field(config, runs):
     # the key's other runs: another strategy, worker count, and a seed Rng masks alike
     alias = replace(config, strategy="mct", num_workers=3, seed=config.seed - 2**64)
     configs = [config] * runs + [alias]
-    with sim.shared_workloads(configs):
+    with sim.shared_workloads():
         for i, cfg in enumerate(configs):  # each draws as the engine does
             # every run after the first finds the draws the first one stored
-            assert (sim._workload_key(cfg) in sim._shared.drawn) == (i > 0)
+            assert ((config.seed & MASK64) in sim._shared) == (i > 0)
             got = sim._workload(cfg, new_rng(cfg.seed).fork(2))
             assert got == want
             assert list(map(repr, got)) == list(map(repr, want))
-        assert not sim._shared.uses and not sim._shared.drawn
+        assert list(sim._shared) == [config.seed & MASK64]
     assert sim._shared is None
 
 
@@ -791,44 +791,46 @@ def test_every_later_run_of_a_key_gets_the_tuple_its_first_run_drew():
     config = default_config(num_devices=4)
     key = sim._workload_key(config)
     configs = [config, replace(config, strategy="mct"), replace(config, num_workers=3)]
-    with sim.shared_workloads(configs):
+    with sim.shared_workloads():
         first = sim._workload(config, new_rng(config.seed).fork(2))
         for cfg in configs[1:]:
-            assert sim._shared.drawn[key] is first
+            assert sim._shared[key[0]] == (key, first)
             assert sim._workload(cfg, new_rng(cfg.seed).fork(2)) is first
-        assert key not in sim._shared.drawn  # the key's last run took it
+        assert sim._shared[key[0]][1] is first
 
 
 def test_a_shared_run_equals_the_unshared_one():
     config = default_config(num_devices=8, strategy="aucrac")
     alone = run(config)
-    with sim.shared_workloads([replace(config, strategy="mct"), config]):
+    with sim.shared_workloads():
         run(replace(config, strategy="mct"))
         shared = run(config)
     assert shared.log_lines == alone.log_lines
     assert shared.metrics == alone.metrics
 
 
-def test_a_run_the_block_did_not_count_draws_its_own_workload():
-    counted = default_config(num_devices=4)
-    other = replace(counted, num_devices=3)
+def test_a_run_of_another_key_at_the_same_seed_draws_its_own_and_takes_the_seed():
+    kept = default_config(num_devices=4)
+    other = replace(kept, num_devices=3)
     want = generate_workload(other, new_rng(other.seed).fork(2))
-    with sim.shared_workloads([counted, counted]):
-        sim._workload(counted, new_rng(counted.seed).fork(2))  # stores the key's draws
-        drawn, uses = dict(sim._shared.drawn), Counter(sim._shared.uses)
+    with sim.shared_workloads():
+        first = sim._workload(kept, new_rng(kept.seed).fork(2))  # stores the seed's draws
         got = sim._workload(other, new_rng(other.seed).fork(2))
+        assert got is not first
         assert got == want
         assert list(map(repr, got)) == list(map(repr, want))
-        assert sim._shared.drawn == drawn and sim._shared.uses == uses
+        assert sim._shared == {kept.seed & MASK64: (sim._workload_key(other), got)}
+        # the first key is no longer kept: its next run draws again
+        again = sim._workload(kept, new_rng(kept.seed).fork(2))
+        assert again is not first and again == first
     assert sim._shared is None
 
 
 def test_a_draw_that_raises_stores_nothing_for_its_key():
     config = default_config(num_devices=2, workload=WorkloadSpec(arrival_rate_hz=5e-324))
-    with sim.shared_workloads([config, config]):
+    with sim.shared_workloads():
         for _ in range(2):  # each run draws again, and fails as an unshared run does
             with pytest.raises(ConstraintError, match="^task.arrival_time: "):
                 run(config)
-            assert sim._shared.drawn == {}
-            assert sim._shared.uses == Counter({sim._workload_key(config): 2})
+            assert sim._shared == {}
     assert sim._shared is None
