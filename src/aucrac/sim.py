@@ -536,22 +536,30 @@ class _Containers(_Executor):
         self.freed = deque()  # (freed_at, node index) per container release, in time order
 
     def commit(self, now, task, node):
-        decision = ct.select_container(node, task)
-        if decision.action == "requeue":
-            return None
-        if decision.action == "reuse":
-            container = next(c for c in node.container_pool if c.id == decision.container_id)
+        # select_container's pick in the pass that finds it: the least fitting
+        # free container in (compute, memory, id) order, else its create check
+        memory, cycles, td_max = task.memory, task.cycles, task.td_max
+        container = None
+        for c in node.container_pool:
+            if (c.state == "free" and c.memory > memory and cycles / c.compute < td_max
+                    and (container is None or (c.compute, c.memory, c.id)
+                         < (container.compute, container.memory, container.id))):
+                container = c
+        if container is not None:
             container.mark_busy()
-        else:
+            created = 0
+        elif node.free_memory > memory and cycles / node.cpu < td_max:
             try:
                 container = ct.create_container(node, task)
             except PlacementRejected:
                 return None
+            created = 1
             # only a create adds memory; a reuse holds it already
             self.peak[node.id] = max(self.peak[node.id], node.memory - node.free_memory)
+        else:
+            return None
         self.pending[task.id] = (node.id, container.id, container.compute, container.memory,
-                                 int(decision.action == "create"),
-                                 now + task.cycles / container.compute)
+                                 created, now + cycles / container.compute)
         self._touch(node, now)
         return now
 
@@ -568,9 +576,12 @@ class _Containers(_Executor):
 
     def reap(self, now):
         # only nodes that freed a container a TTL ago can reap; frees come in time order
+        freed = self.freed
+        if not freed or now - freed[0][0] < self.ttl:
+            return
         due = set()
-        while self.freed and now - self.freed[0][0] >= self.ttl:
-            due.add(self.freed.popleft()[1])
+        while freed and now - freed[0][0] >= self.ttl:
+            due.add(freed.popleft()[1])
         for i in sorted(due):
             self._reap_node(self.nodes[i], now)
 

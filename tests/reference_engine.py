@@ -10,6 +10,8 @@ definition it reproduces: the oracle every fast path is tested against.
   its standing bids carried from round to round.
 - `pick` of the whole-node markets: `assign` for `sim._Assign`, and for
   `sim._Queues` the `mct` and `greedy` definitions in `ReferenceAssign`.
+- `commit` of the container executor: `select_container`, then a lookup
+  of its pick by id.
 - `reap` of the container executor: `reap_idle` on every node, in node
   order, on every round.
 - `check_books` of both executors: the books of every node, and each
@@ -151,14 +153,39 @@ class ReferenceWholeNode(_FullCheck, sim._WholeNode):
     pass
 
 
-class _ReapEveryNode(sim._Containers):
+class _ContainerDefinitions(sim._Containers):
+    def commit(self, now, task, node):
+        decision = ct.select_container(node, task)
+        self.seen[decision.action] += 1
+        if decision.action == "requeue":
+            return None
+        if decision.action == "reuse":
+            container = next(c for c in node.container_pool if c.id == decision.container_id)
+            least = [c for c in node.container_pool if c.state == "free"
+                     and c.memory > task.memory and task.cycles / c.compute < task.td_max
+                     and c.compute == container.compute]
+            self.seen["compute_tie"] += len(least) > 1
+            self.seen["id_tie"] += len([c for c in least if c.memory == container.memory]) > 1
+            container.mark_busy()
+        else:
+            try:
+                container = ct.create_container(node, task)
+            except PlacementRejected:
+                return None
+            self.peak[node.id] = max(self.peak[node.id], node.memory - node.free_memory)
+        self.pending[task.id] = (node.id, container.id, container.compute, container.memory,
+                                 int(decision.action == "create"),
+                                 now + task.cycles / container.compute)
+        self._touch(node, now)
+        return now
+
     def reap(self, now):
         self.freed.clear()  # the fast path's queue of due nodes
         for node in self.nodes:
             self.seen["reaped"] += self._reap_node(node, now)
 
 
-class ReferenceContainers(_FullCheck, _ReapEveryNode):
+class ReferenceContainers(_FullCheck, _ContainerDefinitions):
     pass
 
 
@@ -173,7 +200,10 @@ class ReferenceEngine(sim._Engine):
     """The engine run by the reference markets and executors. `seen` counts
     what the run met: rounds taken and retried, closed members, literal
     rounds of positive and of zero posted value, literal rounds with a NaN
-    ask, and reaped containers; and whole-node picks of a busy node under
+    ask, and reaped containers; container commits by `select_container`'s
+    action (`reuse`, `create`, `requeue`), and reuses whose least compute
+    more than one fit shares (`compute_tie`), of which those whose memory
+    also ties, so that the id decides (`id_tie`); and whole-node picks of a busy node under
     `mct`, `mct` picks whose least eta is shared across classes or by a busy
     node, `greedy` picks while every node is busy, and `greedy` picks tied
     with a node of smaller id; and per handoff of a task to its ROUND or

@@ -1,5 +1,6 @@
 """Event engine behavior: strategies, determinism, logs, and metrics."""
 
+import copy
 import heapq
 from collections import Counter
 from dataclasses import replace
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 import aucrac.containers as ct
 import aucrac.sim as sim
-from aucrac.core import (STRATEGIES, NodeTemplate, ResourceWeights, Task, WorkerNode,
-                         WorkloadSpec, default_config, generate_workload)
+from aucrac.core import (AUCTION_MODES, STRATEGIES, Container, NodeTemplate, ResourceWeights,
+                         Task, WorkerNode, WorkloadSpec, default_config, generate_workload)
 from aucrac.costmodel import execution_time
 from aucrac.errors import ConstraintError, InputError, StateError
 from aucrac.rng import MASK64, new_rng
@@ -21,7 +22,8 @@ from aucrac.sim import (SimEvent, _percentile, assign, jain_fairness, left_sum,
                         utilization_series)
 from aucrac.core import AuctionOutcome
 
-from reference_engine import market, same_picks, same_round, same_run, whole_node_steps
+from reference_engine import (ReferenceEngine, market, over, same_picks, same_round, same_run,
+                              whole_node_steps)
 
 
 def _workload_of(tasks_per_device):
@@ -567,6 +569,74 @@ def test_open_lists_follow_the_books_through_a_run(win_rule, templates):
     seen = same_run(config).seen
     # some nodes were closed, and rounds both placed and retried
     assert min(seen["closed"], seen["taken"], seen["retried"]) > 0
+
+
+# a slice granule of an eighth of the slowest node's cpu: tasks of many sizes
+# get slices of one size, and several share a node; equal task memories make
+# equal containers, which only their ids order
+_FINE_SLICES = default_config(num_devices=10, executor=replace(
+    default_config().executor, slice_granularity=2.5e8))
+_FINE_SLICES_EQUAL_MEMORY = replace(_FINE_SLICES, workload=replace(
+    _FINE_SLICES.workload, memory_mb=(64.0, 64.0)))
+
+
+@pytest.mark.parametrize("mode", AUCTION_MODES)
+@pytest.mark.parametrize("config, shows", [
+    pytest.param(_FINE_SLICES, ("reuse", "compute_tie", "create"), id="fine-slices"),
+    pytest.param(_FINE_SLICES_EQUAL_MEMORY, ("id_tie",), id="fine-slices-equal-memory"),
+])
+def test_a_commit_places_as_select_container(mode, config, shows):
+    seen = same_run(replace(config, strategy="aucrac", auction_mode=mode)).seen
+    assert min(seen[case] for case in shows) > 0, seen
+    # a repaired round offers a task only to nodes where can_place holds
+    assert (seen["requeue"] > 0) == (mode == "literal"), seen
+
+
+@st.composite
+def _pool_and_task(draw):
+    # computes in granules and a few memories, so picks tie on compute and on
+    # memory; ids out of pool order; exec times exactly at td_max
+    executor = replace(default_config().executor, slice_granularity=1e9)
+    node = WorkerNode(id="wn0", cpu=draw(st.sampled_from([2e9, 4e9, 8e9])),
+                      memory=draw(st.sampled_from([300.0, 600.0, 1200.0])), power=100.0,
+                      unit_cost=1.0, time_const=5.0, executor=executor)
+    slots = draw(st.lists(st.tuples(st.sampled_from([84.0, 120.0, 300.0]), st.integers(1, 4),
+                                    st.booleans()), max_size=8))
+    for k, (memory, granules, busy) in zip(draw(st.permutations(range(len(slots)))), slots):
+        if memory <= node.free_memory and granules * 1e9 <= node.free_compute:
+            c = Container(id=f"wn0-c{k:04d}", node_id="wn0", memory=memory,
+                          compute=granules * 1e9, lib_overhead=20.0)
+            node.container_pool.append(c)
+            node.free_memory -= memory
+            node.free_compute -= c.compute
+            if busy:
+                c.mark_busy()
+    task = Task(id="t0", data_in=1.0, data_out=0.5, power=5.0, deadline=10.0,
+                cycles=draw(st.sampled_from([1e9, 2e9, 3e9, 4e9])),
+                memory=draw(st.sampled_from([64.0, 84.0, 100.0, 120.0])),
+                td_max=draw(st.sampled_from([0.5, 1.0, 2.0, 4.0])))
+    return node, task
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pool_and_task())
+def test_a_commit_picks_what_select_container_picks(drawn):
+    node, task = drawn
+    decision = ct.select_container(node, task)
+    commits = []
+    for on, engine in ((node, sim._Engine), (copy.deepcopy(node), ReferenceEngine)):
+        executor = over([on], engine)(default_config(executor=on.executor)).executor
+        start = executor.commit(0.0, task, on)
+        commits.append((start, executor.pending.get(task.id),
+                        [(c.id, c.state) for c in on.container_pool]))
+    assert commits[0] == commits[1]
+    start, entry, _ = commits[0]
+    if decision.action == "reuse":
+        assert entry[1] == decision.container_id and entry[4] == 0
+    elif decision.action == "create":
+        assert entry is None or entry[4] == 1
+    else:
+        assert start is None
 
 
 # --- the event heap -------------------------------------------------------
