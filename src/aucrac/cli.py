@@ -284,6 +284,8 @@ def _parse_seeds(text: str) -> tuple:
         return tuple(int(s) for s in text.split(","))
     except ValueError as exc:
         raise SchemaError("seeds", f"cannot parse {text!r}: {exc}") from exc
+    except (MemoryError, OverflowError) as exc:  # a range too long to hold
+        raise ConstraintError("seeds", f"{text!r} names more seeds than fit in memory") from exc
 
 
 def _parse_sweep(text: str) -> tuple:

@@ -26,10 +26,11 @@ from .errors import InfeasibleError, InputError, PlacementRejected, StateError
 from .rng import MASK64, Rng, new_rng
 
 # A heap entry is (time, rank, task id); at one instant events run in rank
-# order, then by task id. Capacity leaves before it is retaken: finishes and
-# releases resolve ahead of the starts scheduled for the same time. A task's
-# start pushes its finish and release, so a task never ends before it starts.
-ARRIVAL, ROUND, FINISH, RELEASE, START = range(5)
+# order, then by task id. Capacity leaves before it is retaken: a finish, which
+# also releases the task's container, resolves ahead of the starts scheduled
+# for the same time. A task's start pushes its finish, so a task never ends
+# before it starts.
+ARRIVAL, ROUND, FINISH, START = range(4)
 
 # a log line from (time, kind, task id, node id, container id, detail), and one format per kind
 _LINE = "%r,%s,%s,%s,%s,%s"
@@ -489,9 +490,10 @@ class _Literal(_Auction):
 class _Executor:
     """Runs the tasks the market places; one per run. `commit(now, task,
     node)` stores the task's (node id, container id, cc, mem, created,
-    finish) in `pending` and returns its start time, or None when the node
-    cannot take it after all. `start` runs at the task's start, `release`
-    at its container's release and `reap` before each round."""
+    finish, container) in `pending`, the container None on a whole node,
+    and returns its start time, or None when the node cannot take it after
+    all. `start` runs at the task's start, `release` at its finish and
+    `reap` before each round."""
 
     def __init__(self, engine, market: _Market):
         self.market, self.pending, self.peak = market, engine.pending_exec, engine.peak_mem
@@ -499,7 +501,7 @@ class _Executor:
     def reap(self, *args):
         """Nothing to do under this executor."""
 
-    release = reap
+    start = release = reap
 
 
 class _WholeNode(_Executor):
@@ -513,11 +515,11 @@ class _WholeNode(_Executor):
         before = self.available_at.get(node.id, 0.0)
         start = max(now, before)
         finish = self.available_at[node.id] = start + execution_time(node, task)
-        self.pending[task.id] = (node.id, "", node.cpu, task.memory, 0, finish)
+        self.pending[task.id] = (node.id, "", node.cpu, task.memory, 0, finish, None)
         self.market.queued(node, before, finish)
         return start
 
-    def start(self, now, task_id, node_id, mem, finish):
+    def start(self, now, node_id, mem):
         # the node's last task finished before this one starts: it runs alone
         self.peak[node_id] = max(self.peak[node_id], mem)
 
@@ -530,7 +532,7 @@ class _Containers(_Executor):
 
     def __init__(self, engine, market):
         super().__init__(engine, market)
-        self.nodes, self.heap, self.log = engine.nodes, engine.heap, engine.log
+        self.nodes, self.log = engine.nodes, engine.log
         self.node_by_id, self.ttl = engine.node_by_id, engine.config.executor.idle_ttl_s
         self.node_index = {n.id: i for i, n in enumerate(self.nodes)}
         self.freed = deque()  # (freed_at, node index) per container release, in time order
@@ -559,17 +561,14 @@ class _Containers(_Executor):
         else:
             return None
         self.pending[task.id] = (node.id, container.id, container.compute, container.memory,
-                                 created, now + cycles / container.compute)
+                                 created, now + cycles / container.compute, container)
         self._touch(node, now)
         return now
 
-    def start(self, now, task_id, node_id, mem, finish):
-        heapq.heappush(self.heap, (finish, RELEASE, task_id))
-
     def release(self, now, task_id):
-        node_id, container_id, cc, mem, _created, _finish = self.pending[task_id]
+        node_id, container_id, cc, mem, _created, _finish, container = self.pending[task_id]
         node = self.node_by_id[node_id]
-        ct.release_container(node, container_id, now)
+        container.mark_free(now)  # ct.release_container's step, on the container commit held
         self.freed.append((now, self.node_index[node_id]))
         self._touch(node, now)
         self.log.append((_RELEASED, (now, task_id, node_id, container_id, cc, mem)))
@@ -659,7 +658,7 @@ class _Engine:
         self.node_by_id = {n.id: n for n in self.nodes}
         self.tasks, self.heap, self.log = {}, [], _Records()
         self.payments, self.retries = {}, {}
-        self.pending_exec = {}  # task id -> (node id, container id, cc, mem, created, finish)
+        self.pending_exec = {}  # task id -> the executor's (node id, container id, ..., container)
         self.finished = {}      # task id -> (completion seconds, missed flag)
         self.failed, self.arrived = set(), 0
         self.per_node_tasks = {n.id: 0 for n in self.nodes}
@@ -728,23 +727,22 @@ class _Engine:
             heapq.heappush(self.heap, (now + self.config.retry_interval_s, ROUND, task_id))
 
     def _handle_exec_start(self, now: float, task_id: str):
-        node_id, container_id, cc, mem, created, finish = self.pending_exec[task_id]
+        node_id, container_id, cc, mem, created, finish, _ = self.pending_exec[task_id]
         self.per_node_tasks[node_id] += 1
         self._cpu_change(node_id, cc, now)
         heapq.heappush(self.heap, (finish, FINISH, task_id))
-        self.executor.start(now, task_id, node_id, mem, finish)
+        self.executor.start(now, node_id, mem)
         self.log.append((_STARTED, (now, task_id, node_id, container_id, cc,
                                     self.node_by_id[node_id].cpu, mem, created)))
 
     def _handle_exec_finish(self, now: float, task_id: str):
-        node_id, container_id, cc, mem, _created, _finish = self.pending_exec[task_id]
+        node_id, container_id, cc, mem, _created, _finish, _ = self.pending_exec[task_id]
         task = self.tasks[task_id]
         completion = now - task.arrival_time
         self.finished[task_id] = (completion, completion > task.deadline)
-        # a container's compute is released at this instant too, and its
-        # release events run in this same task order
         self._cpu_change(node_id, -cc, now)
         self.log.append((_FINISHED, (now, task_id, node_id, container_id, cc, mem, completion)))
+        self.executor.release(now, task_id)  # the task's container, if it ran in one
 
     def _hand_off(self, now: float, entry: tuple):
         # a handler's last step: the task's next event, a ROUND or a START. If
@@ -763,7 +761,7 @@ class _Engine:
             self.tasks[task.id] = task
             heapq.heappush(self.heap, (task.arrival_time, ARRIVAL, task.id))
         handlers = (self._handle_arrival, self._handle_round, self._handle_exec_finish,
-                    self.executor.release, self._handle_exec_start)  # indexed by rank
+                    self._handle_exec_start)  # indexed by rank
         horizon = self.config.horizon_s
         last = 0.0
         while self.heap:

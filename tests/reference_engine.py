@@ -12,12 +12,15 @@ definition it reproduces: the oracle every fast path is tested against.
   `sim._Queues` the `mct` and `greedy` definitions in `ReferenceAssign`.
 - `commit` of the container executor: `select_container`, then a lookup
   of its pick by id.
+- `release` of the container executor: `release_container`, a lookup of
+  the task's container by id, which must find the container the commit
+  held.
 - `reap` of the container executor: `reap_idle` on every node, in node
   order, on every round.
 - `check_books` of both executors: the books of every node, and each
   class's open list against its definition, the one piece of fast-path
-  state that no output shows. It runs after every executor call (`commit`,
-  `start`, `release` and `reap`), since books change only inside those; the
+  state that no output shows. It runs after every `commit`, `release` and
+  `reap` of the executor, since books change only inside those; the
   fast executor checks only the node a change touched. The reference
   auctions keep the open lists of `sim._OpenAuction` for this check, but
   never read them.
@@ -126,10 +129,6 @@ class _FullCheck(_Reference):
         self.check_books(now)
         return start
 
-    def start(self, now, *args):
-        super().start(now, *args)
-        self.check_books(now)
-
     def release(self, now, task_id):
         super().release(now, task_id)
         self.check_books(now)
@@ -175,9 +174,18 @@ class _ContainerDefinitions(sim._Containers):
             self.peak[node.id] = max(self.peak[node.id], node.memory - node.free_memory)
         self.pending[task.id] = (node.id, container.id, container.compute, container.memory,
                                  int(decision.action == "create"),
-                                 now + task.cycles / container.compute)
+                                 now + task.cycles / container.compute, container)
         self._touch(node, now)
         return now
+
+    def release(self, now, task_id):
+        node_id, container_id, cc, mem, _created, _finish, held = self.pending[task_id]
+        node = self.node_by_id[node_id]
+        released = ct.release_container(node, container_id, now)
+        assert released is held, "the commit held another container"
+        self.freed.append((now, self.node_index[node_id]))
+        self._touch(node, now)
+        self.log.append((sim._RELEASED, (now, task_id, node_id, container_id, cc, mem)))
 
     def reap(self, now):
         self.freed.clear()  # the fast path's queue of due nodes

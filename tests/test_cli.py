@@ -693,6 +693,16 @@ def test_main_rejects_bad_seed_text(tmp_path):
     assert main(["--config", path, "--seeds", "x..y"]) == EXIT_SCHEMA
 
 
+@pytest.mark.parametrize("seeds", ["0..100000000000000", "0..1000000000000000000000000000000"])
+def test_main_rejects_a_seed_range_too_long_to_hold(tmp_path, capsys, seeds):
+    # each range fails at once, as a MemoryError or an OverflowError, before it is built
+    out = tmp_path / "out"
+    assert main(["--seeds", seeds, "--out", str(out)]) == EXIT_CONSTRAINT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "seeds: " in err
+    assert not out.exists()
+
+
 def test_importing_the_cli_loads_no_process_pool():
     # only a sweep with more than one job starts the pool, so only it pays for the import
     src = os.path.dirname(os.path.dirname(cli.__file__))

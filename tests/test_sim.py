@@ -627,8 +627,10 @@ def test_a_commit_picks_what_select_container_picks(drawn):
     for on, engine in ((node, sim._Engine), (copy.deepcopy(node), ReferenceEngine)):
         executor = over([on], engine)(default_config(executor=on.executor)).executor
         start = executor.commit(0.0, task, on)
-        commits.append((start, executor.pending.get(task.id),
-                        [(c.id, c.state) for c in on.container_pool]))
+        entry = executor.pending.get(task.id)
+        if entry is not None:  # the held container, by its place in its own pool
+            entry = (*entry[:-1], on.container_pool.index(entry[-1]))
+        commits.append((start, entry, [(c.id, c.state) for c in on.container_pool]))
     assert commits[0] == commits[1]
     start, entry, _ = commits[0]
     if decision.action == "reuse":
@@ -725,22 +727,45 @@ def test_same_instant_handoffs_run_as_the_reference_engine(config, reached, stra
         assert (seen[branch] > 0) == (strategy in strategies), (branch, seen[branch])
 
 
+# every task arrives at t=0 with the same cycles and td_max, so each takes the
+# same slice, and the tasks started at one instant finish at one instant
+_TWIN_FINISHES = replace(_ALL_AT_ZERO, num_devices=3, strategy="aucrac", workload=replace(
+    _ALL_AT_ZERO.workload, lit_cycles=(1e9, 1e9), mit_cycles=(1e9, 1e9), hit_cycles=(1e9, 1e9),
+    td_max_s=(2.0, 2.0)))
+
+
+def test_each_container_release_follows_its_own_finish():
+    events = list(map(parse_event_line, run(_TWIN_FINISHES).log_lines))
+    finishes = [i for i, ev in enumerate(events) if ev.kind == "exec_finish"]
+    assert len({events[i].time for i in finishes}) < len(finishes) == 9
+    released = [i for i, ev in enumerate(events) if "from=busy" in ev.detail]
+    assert released == [i + 1 for i in finishes]
+    for i in finishes:
+        assert (events[i + 1].time, events[i + 1].task_id) == (events[i].time, events[i].task_id)
+    same_run(_TWIN_FINISHES)
+
+
 # --- the books check ------------------------------------------------------
 
 _AT_1E11 = default_config(num_devices=20, node_templates=(NodeTemplate(memory_mb=1e11),))
 
 
-@pytest.mark.parametrize("name", ["create_container", "release_container", "reap_idle"])
-def test_books_check_trips_on_the_event_that_corrupts_a_node(monkeypatch, name):
-    real = getattr(ct, name)
+@pytest.mark.parametrize("owner, name", [(ct, "create_container"), (Container, "mark_free"),
+                                         (ct, "reap_idle")],
+                         ids=["create_container", "mark_free", "reap_idle"])
+def test_books_check_trips_on_the_event_that_corrupts_a_node(monkeypatch, owner, name):
+    # a release frees its container through mark_free, which both engines call
+    real = getattr(owner, name)
 
-    def corrupting(node, *args):
-        out = real(node, *args)
-        if out:  # an empty reap leaves the node untouched
-            node.free_memory -= 1e-6 * node.memory
+    def corrupting(held, *args):  # a node, or the container a release frees
+        out = real(held, *args)
+        if isinstance(held, Container):  # the pool now holds more than its node lent
+            held.memory += 1e-6 * _AT_1E11.node_templates[0].memory_mb
+        elif out:  # an empty reap leaves the node untouched
+            held.free_memory -= 1e-6 * held.memory
         return out
 
-    monkeypatch.setattr(ct, name, corrupting)
+    monkeypatch.setattr(owner, name, corrupting)
     # the reference engine checks every node after every event
     with pytest.raises(StateError, match=r"container memory books disagree at t=\d"):
         same_run(_AT_1E11)
@@ -773,7 +798,7 @@ def test_reaping_follows_the_idle_ttl_boundary_of_reap_idle():
     node = engine.nodes[2]
     container = ct.create_container(node, _simple_task())
     engine.pending_exec["tx"] = (node.id, container.id, container.compute,
-                                 container.memory, 1, 1.0)
+                                 container.memory, 1, 1.0, container)
     engine.executor.release(1.0, "tx")
     ttl = node.executor.idle_ttl_s
     engine.executor.reap(1.0 + ttl - 1e-9)
